@@ -38,7 +38,7 @@ from .metrics import MetricsReport, compare_models, compute_metrics
 from .readings import (
     AggregatedRecord,
     Granularity,
-    RawReading,
+    Readings,
     aggregate,
     interpolate_nulls,
     parse_readings,

@@ -81,7 +81,12 @@ def _parse_bool(text) -> bool:
 
 
 def _parse_offsets(text):
-    return tuple(int(t) for t in str(text).split(",") if t.strip())
+    try:
+        return tuple(int(t) for t in str(text).split(",") if t.strip())
+    except ValueError:
+        raise ConfigError(
+            f"lag offsets must be comma-separated integers, got {text!r}"
+        )
 
 
 def _split_spec(name: str, train_fraction: float) -> SplitSpec:

@@ -147,17 +147,20 @@ def predict_gbt(model: GbtModel, x) -> float:
 # serialization
 
 
+def forest_config_dict(c: ForestConfig) -> dict:
+    return {
+        "n_trees": c.n_trees,
+        "bootstrap": c.bootstrap,
+        "feature_fraction": c.feature_fraction,
+        "seed": c.seed,
+        "tree": _tree_config_dict(c.tree),
+    }
+
+
 def forest_to_dict(model: ForestModel) -> dict:
-    c = model.config
     return {
         "model": "random_forest",
-        "config": {
-            "n_trees": c.n_trees,
-            "bootstrap": c.bootstrap,
-            "feature_fraction": c.feature_fraction,
-            "seed": c.seed,
-            "tree": _tree_config_dict(c.tree),
-        },
+        "config": forest_config_dict(model.config),
         "trees": [tree_to_dict(t) for t in model.trees],
     }
 
@@ -176,17 +179,20 @@ def forest_from_dict(doc: dict) -> ForestModel:
     )
 
 
+def gbt_config_dict(c: GbtConfig) -> dict:
+    return {
+        "n_rounds": c.n_rounds,
+        "shrinkage": c.shrinkage,
+        "seed": c.seed,
+        "tree": _tree_config_dict(c.tree),
+    }
+
+
 def gbt_to_dict(model: GbtModel) -> dict:
-    c = model.config
     return {
         "model": "gradient_boosting",
         "base_score": model.base_score,
-        "config": {
-            "n_rounds": c.n_rounds,
-            "shrinkage": c.shrinkage,
-            "seed": c.seed,
-            "tree": _tree_config_dict(c.tree),
-        },
+        "config": gbt_config_dict(model.config),
         "trees": [tree_to_dict(t) for t in model.trees],
     }
 

@@ -25,6 +25,8 @@ from .ensembles import (
     dump_model,
     fit_forest,
     fit_gbt,
+    forest_config_dict,
+    gbt_config_dict,
 )
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .features import (
@@ -71,6 +73,11 @@ class ExperimentConfig:
             )
         if self.scaler is not None and self.scaler not in ("minmax", "maxabs"):
             raise ConfigError(f"unknown scaler {self.scaler!r}")
+        if self.lag_offsets is not None and min(self.lag_offsets, default=1) < 1:
+            # lag k reads the target k buckets back; k < 1 is not in the past
+            raise ConfigError(
+                f"lag offsets must be >= 1, got {list(self.lag_offsets)}"
+            )
 
     def as_dict(self) -> dict:
         return {
@@ -85,22 +92,8 @@ class ExperimentConfig:
             "scaler": self.scaler,
             "lags": self.lags,
             "lag_offsets": list(self.lag_offsets) if self.lag_offsets else None,
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "bootstrap": self.forest.bootstrap,
-                "feature_fraction": self.forest.feature_fraction,
-                "seed": self.forest.seed,
-                "max_depth": self.forest.tree.max_depth,
-                "min_gain": self.forest.tree.min_gain,
-                "gain_mode": self.forest.tree.gain_mode,
-            },
-            "gbt": {
-                "n_rounds": self.gbt.n_rounds,
-                "shrinkage": self.gbt.shrinkage,
-                "max_depth": self.gbt.tree.max_depth,
-                "min_gain": self.gbt.tree.min_gain,
-                "gain_mode": self.gbt.tree.gain_mode,
-            },
+            "forest": forest_config_dict(self.forest),
+            "gbt": gbt_config_dict(self.gbt),
             "validation_fraction": self.validation_fraction,
             "mad_mode": self.mad_mode,
         }
@@ -197,16 +190,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     table = compare_models(reports)
 
-    # convexity of the blend is guaranteed when all models see the same
-    # feature rows; recursive lag prediction feeds each model its own past
-    # predictions, so the bound is only enforced with lags off
-    if not config.lags:
-        bound = max(reports[MODEL_RF].rmse, reports[MODEL_GBT].rmse) + 1e-9
-        if reports[MODEL_BLEND].rmse > bound:
-            raise InvariantError(
-                f"blend RMSE {reports[MODEL_BLEND].rmse} exceeds component "
-                f"bound {bound}"
-            )
+    # the blend is a convex combination of the two prediction arrays, so its
+    # RMSE cannot exceed the worse component's
+    bound = max(reports[MODEL_RF].rmse, reports[MODEL_GBT].rmse) + 1e-9
+    if reports[MODEL_BLEND].rmse > bound:
+        raise InvariantError(
+            f"blend RMSE {reports[MODEL_BLEND].rmse} exceeds component "
+            f"bound {bound}"
+        )
 
     files = _stage(
         "write-output",

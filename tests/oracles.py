@@ -4,7 +4,12 @@ Everything here is deliberately written from first principles (plain Python
 loops, hand-coded calendar arithmetic) rather than reusing library code, so
 the checks are a genuinely separate route to the same answers.
 """
+import csv
+import io
 import math
+from datetime import datetime, timedelta
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -117,3 +122,100 @@ def iso_week(year, month, day):
     if week > _iso_weeks_in_year(year):
         return 1
     return week
+
+
+# ---------------------------------------------------------------------------
+# minute readings, one Python object per row
+
+
+def parse_rows(text):
+    """Parse a readings CSV row by row: a list of (datetime, values) with None
+    for a null cell. Raises ValueError with the library's DataError message
+    for the first offending row (the header is row 1; blank lines count)."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty input: missing header row")
+    if not header or header[0].strip() != "timestamp":
+        raise ValueError("header must start with a 'timestamp' column")
+    n_cols = len(header)
+    if n_cols < 2:
+        raise ValueError("header declares no meter columns")
+
+    rows = []
+    prev_ts = None
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n_cols:
+            raise ValueError(
+                f"inconsistent column count at row {row_no}: "
+                f"expected {n_cols}, got {len(row)}"
+            )
+        try:
+            ts = datetime.fromisoformat(row[0])
+        except ValueError:
+            raise ValueError(f"malformed timestamp at row {row_no}: {row[0]!r}")
+        if prev_ts is not None and ts <= prev_ts:
+            raise ValueError(f"non-monotonic timestamp at row {row_no}")
+        prev_ts = ts
+        values = []
+        for col, cell in enumerate(row[1:], start=1):
+            cell = cell.strip()
+            if cell == "":
+                values.append(None)
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"malformed reading at row {row_no}, column {col}")
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite reading at row {row_no}, column {col}")
+            if v < 0:
+                raise ValueError(f"negative reading at row {row_no}, column {col}")
+            values.append(v)
+        rows.append((ts, tuple(values)))
+    return rows
+
+
+def interpolate_rows(rows):
+    """Fill nulls per column by np.interp over minutes since the first row,
+    touching only the null slots."""
+    if not rows:
+        return []
+    t0 = rows[0][0]
+    t = np.array([(ts - t0).total_seconds() / 60.0 for ts, _ in rows], dtype=float)
+    columns = []
+    for j in range(len(rows[0][1])):
+        col = np.array(
+            [np.nan if values[j] is None else values[j] for _, values in rows],
+            dtype=float,
+        )
+        known = ~np.isnan(col)
+        if not known.all():
+            col = np.where(known, col, np.interp(t, t[known], col[known]))
+        columns.append(col)
+    stacked = np.stack(columns, axis=1)
+    return [(ts, tuple(stacked[i].tolist())) for i, (ts, _) in enumerate(rows)]
+
+
+def bucket_means(rows, minutes):
+    """(bucket start, bucket index, mean total) per (date, bucket) group,
+    where a row's total sums its meters left to right from 0.0 and the mean
+    is np.mean over the group's totals."""
+    groups = {}
+    for ts, values in rows:
+        total = 0.0
+        for v in values:
+            total += v
+        index = (ts.hour * 60 + ts.minute) // minutes
+        groups.setdefault((ts.date(), index), []).append(total)
+    return [
+        (
+            datetime(day.year, day.month, day.day) + timedelta(minutes=index * minutes),
+            index,
+            float(np.mean(totals)),
+        )
+        for (day, index), totals in sorted(groups.items())
+    ]

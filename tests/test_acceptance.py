@@ -19,7 +19,7 @@ from loadcast.metrics import compute_metrics
 from loadcast.readings import (
     AggregatedRecord,
     Granularity,
-    RawReading,
+    Readings,
     bucket_index_of,
     interpolate_nulls,
 )
@@ -191,17 +191,17 @@ def test_criterion_7_pipeline_correctness():
             vals[i] = None
         if all(v is None for v in vals):
             vals[0] = 1.0
-        readings = [
-            RawReading(base_ts + timedelta(minutes=i), (v,))
-            for i, v in enumerate(vals)
-        ]
+        readings = Readings(
+            np.array(base_ts, dtype="datetime64[us]") + np.arange(n) * 60_000_000,
+            np.array([[np.nan if v is None else v] for v in vals]),
+        )
         once = interpolate_nulls(readings)
         twice = interpolate_nulls(once)
-        assert all(r.values[0] is not None for r in once)
-        assert [r.values for r in once] == [r.values for r in twice]
-        for orig, fixed in zip(readings, once):
-            if orig.values[0] is not None:
-                assert fixed.values[0] == orig.values[0]
+        assert not np.isnan(once.values).any()
+        assert np.array_equal(once.values, twice.values)
+        for orig, fixed in zip(vals, once.values[:, 0]):
+            if orig is not None:
+                assert fixed == orig
 
     # scaler roundtrip within 1e-12
     for kind in ("minmax", "maxabs"):

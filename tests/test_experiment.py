@@ -1,12 +1,19 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
+import loadcast
+from loadcast import experiment
 from loadcast.cli import main
 from loadcast.ensembles import ForestConfig, GbtConfig
-from loadcast.errors import ConfigError, DataError
+from loadcast.errors import ConfigError, DataError, InvariantError
 from loadcast.experiment import (
     PREDICTION_COLUMNS,
     ExperimentConfig,
@@ -117,6 +124,41 @@ class TestRunExperiment:
         assert config["lags"] is True
         assert config["lag_offsets"] == [1, 2, 24]
 
+    def test_lagged_run_checks_blend_convexity(self, small_input, tmp_path, monkeypatch):
+        lagged = dict(lags=True, lag_offsets=(1, 24))
+        result = run_experiment(small_config(small_input, tmp_path / "ok", **lagged))
+        reports = result.reports
+        assert reports["weighted_ensemble"].rmse <= max(
+            reports["random_forest"].rmse, reports["gradient_boosting"].rmse
+        ) + 1e-9
+        # a blend outside its components' hull must trip the invariant
+        monkeypatch.setattr(
+            experiment, "predict_blend_many",
+            lambda weights, preds: preds["random_forest"] + 1e3,
+        )
+        with pytest.raises(InvariantError, match="blend RMSE"):
+            run_experiment(small_config(small_input, tmp_path / "bad", **lagged))
+
+    def test_run_config_lists_every_tree_setting(self, small_input, tmp_path):
+        tree = TreeConfig(max_depth=4, min_samples_split=3)
+        config = small_config(
+            small_input, tmp_path / "out",
+            forest=ForestConfig(n_trees=2, tree=tree, seed=1),
+            gbt=GbtConfig(n_rounds=3, tree=tree, seed=5),
+        )
+        run_config = json.loads(run_experiment(config).files["config"].read_text())
+        names = {f.name for f in dataclasses.fields(TreeConfig)}
+        for model in ("forest", "gbt"):
+            assert set(run_config[model]["tree"]) == names
+            assert run_config[model]["tree"]["min_samples_split"] == 3
+        assert run_config["gbt"]["seed"] == 5
+
+    @pytest.mark.parametrize("offsets", [(0, 1), (-1, 2)])
+    def test_lag_offsets_below_one_rejected(self, tmp_path, offsets):
+        with pytest.raises(ConfigError, match="lag offsets must be >= 1"):
+            small_config(tmp_path / "missing.csv", tmp_path / "out",
+                         lags=True, lag_offsets=offsets)
+
     def test_scaler_fitted_on_training_only(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
         scaler_text = result.files["scaler"].read_text()
@@ -185,6 +227,29 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "x.csv"),
                      "--out-dir", str(tmp_path), "--granularity", "7"]) == 2
+
+    @pytest.mark.parametrize("offsets", ["0,1", "-1,2", "1,x"])
+    def test_bad_lag_offsets_exit_code(self, tmp_path, capsys, offsets):
+        # the input does not exist: exit 2, not 3, shows nothing was read
+        assert main(["run", "--input", str(tmp_path / "absent.csv"),
+                     "--out-dir", str(tmp_path), "--lags",
+                     f"--lag-offsets={offsets}"]) == 2
+        assert "lag offsets" in capsys.readouterr().err
+
+    def test_utc_offset_timestamps_exit_code(self, tmp_path):
+        data = tmp_path / "mixed.csv"
+        data.write_text(
+            "timestamp,a\n2015-01-01T00:00,1\n2015-01-01T00:01+00:00,2\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(loadcast.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loadcast.cli", "run", "--input", str(data),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "UTC offset at row 3" in proc.stderr
 
     def test_data_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadcast.errors import ConfigError, DataError
 from loadcast.readings import (
     Granularity,
-    RawReading,
+    Readings,
     aggregate,
     bucket_index_of,
     interpolate_nulls,
@@ -12,6 +13,8 @@ from loadcast.readings import (
 )
 
 from datetime import datetime, timedelta
+
+import oracles
 
 
 HEADER = "timestamp,m1,m2,m3\n"
@@ -21,16 +24,29 @@ def minutes(start, count):
     return [start + timedelta(minutes=i) for i in range(count)]
 
 
+def readings_of(timestamps, rows):
+    """Readings from datetimes and one tuple of values per row (None = null)."""
+    values = [[np.nan if v is None else v for v in row] for row in rows]
+    return Readings(
+        np.array(timestamps, dtype="datetime64[us]"),
+        np.array(values, dtype=float).reshape(len(rows), -1),
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
 class TestParse:
     def test_basic_row_with_null(self):
         text = "timestamp,a,b,c\n2015-01-01T00:00,10.0,,3.5\n"
         readings = parse_readings(text)
         assert len(readings) == 1
-        assert readings[0].timestamp == datetime(2015, 1, 1, 0, 0)
-        assert readings[0].values == (10.0, None, 3.5)
+        assert readings.timestamps[0] == np.datetime64(datetime(2015, 1, 1, 0, 0))
+        np.testing.assert_array_equal(readings.values[0], [10.0, np.nan, 3.5])
 
     def test_header_only(self):
-        assert parse_readings("timestamp,a\n") == []
+        assert len(parse_readings("timestamp,a\n")) == 0
 
     def test_non_monotonic(self):
         text = (
@@ -60,6 +76,160 @@ class TestParse:
         with pytest.raises(DataError):
             parse_readings("")
 
+    @pytest.mark.parametrize("stamp", ["2015-01-01T00:01+00:00", "2015-01-01T00:01Z"])
+    def test_utc_offset_rejected(self, stamp):
+        text = f"timestamp,a\n2015-01-01T00:00,1\n{stamp},2\n"
+        with pytest.raises(DataError, match="UTC offset at row 3"):
+            parse_readings(text)
+
+    def test_line_endings_and_blank_lines(self):
+        text = "timestamp,a\r\n\r\n2015-01-01T00:00, 1.5 \r\n2015-01-01 00:01,\n"
+        readings = parse_readings(text)
+        np.testing.assert_array_equal(readings.values[:, 0], [1.5, np.nan])
+        with pytest.raises(DataError, match="negative reading at row 4"):
+            parse_readings(
+                "timestamp,a\r\n\r\n2015-01-01T00:00,1\r2015-01-01T00:01,-1\n"
+            )
+
+
+def _big_file(rows=60_000):
+    """Two-meter minute CSV lines; a blank line at index 3 shifts later rows."""
+    start = datetime(2015, 1, 1)
+    lines = ["timestamp,m1,m2"] + [
+        f"{(start + timedelta(minutes=i)).isoformat(timespec='minutes')},1.5,2.5"
+        for i in range(rows)
+    ]
+    lines.insert(3, "")
+    return lines
+
+
+def _set_cell(lines, i, col, value):
+    cells = lines[i].split(",")
+    cells[col] = value
+    lines[i] = ",".join(cells)
+
+
+# fault injected into a line, and the message it must produce at row 50,000
+DEEP_FAULTS = {
+    "column count": (
+        lambda lines, i: lines.__setitem__(i, lines[i] + ",3.5"),
+        r"inconsistent column count at row 50000: expected 3, got 4",
+    ),
+    "malformed timestamp": (
+        lambda lines, i: _set_cell(lines, i, 0, "2015-13-01T00:00"),
+        r"malformed timestamp at row 50000: '2015-13-01T00:00'",
+    ),
+    "UTC offset": (
+        lambda lines, i: _set_cell(lines, i, 0, lines[i].split(",")[0] + "+01:00"),
+        r"timestamp with a UTC offset at row 50000: ",
+    ),
+    "non-monotonic": (
+        lambda lines, i: _set_cell(lines, i, 0, lines[i - 1].split(",")[0]),
+        r"non-monotonic timestamp at row 50000$",
+    ),
+    "malformed reading": (
+        lambda lines, i: _set_cell(lines, i, 2, "2.5x"),
+        r"malformed reading at row 50000, column 2$",
+    ),
+    "non-finite reading": (
+        lambda lines, i: _set_cell(lines, i, 1, "nan"),
+        r"non-finite reading at row 50000, column 1$",
+    ),
+    "negative reading": (
+        lambda lines, i: _set_cell(lines, i, 2, "-2.5"),
+        r"negative reading at row 50000, column 2$",
+    ),
+}
+
+
+class TestErrorsDeepInFile:
+    @pytest.mark.parametrize("kind", sorted(DEEP_FAULTS))
+    def test_names_the_row(self, kind):
+        inject, message = DEEP_FAULTS[kind]
+        lines = _big_file()
+        inject(lines, 49_999)  # row 50,000: the header is row 1
+        # a later fault of another kind must not be the one reported
+        later = "negative reading" if kind == "column count" else "column count"
+        DEEP_FAULTS[later][0](lines, 54_999)
+        with pytest.raises(DataError, match=message):
+            parse_readings("\n".join(lines) + "\n")
+
+
+# valid timestamp layouts, and rejected ones
+_FORMATS = (
+    lambda ts: ts.isoformat(timespec="minutes"),
+    lambda ts: ts.isoformat(sep=" ", timespec="seconds"),
+    lambda ts: ts.isoformat(timespec="microseconds"),
+)
+_BAD_TIMESTAMPS = (
+    "", "not-a-date", "2015-02-30T00:00", "2015-01-01T24:00", "2015-13-01",
+    "2015-01-01T00:00:60", "2015-1-01T00:00", "2015-01-01T00:00:00.",
+)
+_CELLS = (
+    "1.5", "", " ", "0", "-0", "-1", "nan", "inf", "1e3", "abc", " 2.25 ",
+    "1e400", "+3", "1_0", ".5", "5.", "-inf", "1.5.2", "0x10", "\t7\t",
+)
+_ROW = st.tuples(
+    st.sampled_from(("next", "next", "next", "next", "same", "bad", "blank",
+                     "short", "long")),
+    st.integers(0, len(_FORMATS) - 1),
+    st.integers(0, len(_BAD_TIMESTAMPS) - 1),
+    st.lists(st.sampled_from(_CELLS), min_size=2, max_size=2),
+)
+
+
+def _render(rows):
+    lines = ["timestamp,a,b"]
+    minute = 0
+    for kind, fmt, bad, cells in rows:
+        if kind == "blank":
+            lines.append("")
+            continue
+        minute += kind != "same"
+        ts = datetime(2015, 1, 1) + timedelta(minutes=minute, seconds=minute % 7)
+        stamp = _BAD_TIMESTAMPS[bad] if kind == "bad" else _FORMATS[fmt](ts)
+        cells = {"short": cells[:1], "long": cells + ["1"]}.get(kind, cells)
+        lines.append(",".join([stamp] + cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ROW, max_size=12))
+    def test_agrees_with_row_oracle(self, rows):
+        text = _render(rows)
+        try:
+            expected = oracles.parse_rows(text)
+        except ValueError as exc:
+            with pytest.raises(DataError) as info:
+                parse_readings(text)
+            assert str(info.value) == str(exc)
+            return
+        got = parse_readings(text)
+        assert got.timestamps.tolist() == [ts for ts, _ in expected]
+        want = [[np.nan if v is None else v for v in values] for _, values in expected]
+        assert np.array_equal(bits(got.values), bits(want).reshape(-1, 2))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(("", "timestamp,a,b\n", "timestamp\n", " timestamp ,a\n")),
+        st.lists(
+            st.sampled_from(list("0123456789-:T .,\n\r\t+Ze\"\x00é") + [
+                "nan", "inf", "2015-01-01T00:0", "timestamp,", "\ud800", "1e999",
+            ]),
+            max_size=60,
+        ),
+    )
+    def test_returns_or_raises_data_error(self, header, pieces):
+        try:
+            readings = parse_readings(header + "".join(pieces))
+        except DataError:
+            return
+        assert readings.values.ndim == 2 and len(readings.values) == len(readings)
+        assert (np.diff(readings.timestamps) > np.timedelta64(0, "us")).all()
+        known = readings.values[~np.isnan(readings.values)]
+        assert (np.isfinite(known) & (known >= 0)).all()
+
 
 class TestGranularity:
     def test_must_divide_day(self):
@@ -78,44 +248,44 @@ class TestGranularity:
                 bi = bucket_index_of(ts, gran)
                 assert bi == m // g
                 assert 0 <= bi < gran.buckets_per_day
+            stamps = np.array(minutes(datetime(1969, 12, 31), 2880), "datetime64[us]")
+            np.testing.assert_array_equal(
+                bucket_index_of(stamps, gran), np.tile(np.arange(1440) // g, 2)
+            )
 
 
 class TestInterpolate:
     def _col(self, values, start=datetime(2015, 1, 1)):
-        return [
-            RawReading(ts, (v,))
-            for ts, v in zip(minutes(start, len(values)), values)
-        ]
+        return readings_of(minutes(start, len(values)), [(v,) for v in values])
 
     def test_midpoint(self):
         out = interpolate_nulls(self._col([1.0, None, 3.0]))
-        assert [r.values[0] for r in out] == [1.0, 2.0, 3.0]
+        assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_edge_fill(self):
         out = interpolate_nulls(self._col([None, 4.0, 4.0, None]))
-        assert [r.values[0] for r in out] == [4.0, 4.0, 4.0, 4.0]
+        assert out.values[:, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_linear_formula(self):
         # v(t) = v0 + (v1 - v0) * (t - t0) / (t1 - t0), by hand: 0,3,6,9
         out = interpolate_nulls(self._col([0.0, None, None, 9.0]))
-        assert [r.values[0] for r in out] == [0.0, 3.0, 6.0, 9.0]
+        assert out.values[:, 0].tolist() == [0.0, 3.0, 6.0, 9.0]
 
     def test_respects_minute_distance(self):
         # gap of 10 minutes between anchors, null at minute 4: 0 + 10*4/10
         start = datetime(2015, 1, 1)
-        readings = [
-            RawReading(start, (0.0,)),
-            RawReading(start + timedelta(minutes=4), (None,)),
-            RawReading(start + timedelta(minutes=10), (10.0,)),
-        ]
+        readings = readings_of(
+            [start, start + timedelta(minutes=4), start + timedelta(minutes=10)],
+            [(0.0,), (None,), (10.0,)],
+        )
         out = interpolate_nulls(readings)
-        assert out[1].values[0] == pytest.approx(4.0)
+        assert out.values[1, 0] == pytest.approx(4.0)
 
     def test_entirely_null_column(self):
-        readings = [
-            RawReading(datetime(2015, 1, 1), (1.0, None)),
-            RawReading(datetime(2015, 1, 1, 0, 1), (2.0, None)),
-        ]
+        readings = readings_of(
+            [datetime(2015, 1, 1), datetime(2015, 1, 1, 0, 1)],
+            [(1.0, None), (2.0, None)],
+        )
         with pytest.raises(DataError, match="column 2"):
             interpolate_nulls(readings)
 
@@ -131,12 +301,12 @@ class TestInterpolate:
             readings = self._col(vals)
             once = interpolate_nulls(readings)
             twice = interpolate_nulls(once)
-            assert all(r.values[0] is not None for r in once)
+            assert not np.isnan(once.values).any()
             # existing values bit-identical, repair idempotent
-            for r, o in zip(readings, once):
-                if r.values[0] is not None:
-                    assert o.values[0] == r.values[0]
-            assert [r.values for r in once] == [r.values for r in twice]
+            for v, o in zip(vals, once.values[:, 0]):
+                if v is not None:
+                    assert o == v
+            assert np.array_equal(once.values, twice.values)
             # every repaired value within its anchoring neighbours
             known = [i for i, v in enumerate(vals) if v is not None]
             for i, v in enumerate(vals):
@@ -149,13 +319,13 @@ class TestInterpolate:
                     anchors.append(vals[before[-1]])
                 if after:
                     anchors.append(vals[after[0]])
-                assert min(anchors) - 1e-12 <= once[i].values[0] <= max(anchors) + 1e-12
+                assert min(anchors) - 1e-12 <= once.values[i, 0] <= max(anchors) + 1e-12
 
 
 class TestAggregate:
     def test_constant_hour(self):
         start = datetime(2015, 1, 1, 10, 0)
-        readings = [RawReading(ts, (5.0,)) for ts in minutes(start, 60)]
+        readings = readings_of(minutes(start, 60), [(5.0,)] * 60)
         records = aggregate(readings, Granularity(60))
         assert len(records) == 1
         assert records[0].bucket_index == 10
@@ -163,30 +333,84 @@ class TestAggregate:
         assert records[0].bucket_start == datetime(2015, 1, 1, 10, 0)
 
     def test_index_formula(self):
-        readings = [RawReading(datetime(2015, 1, 1, 10, 30), (1.0,))]
+        readings = readings_of([datetime(2015, 1, 1, 10, 30)], [(1.0,)])
         records = aggregate(readings, Granularity(60))
         assert records[0].bucket_index == 10  # floor(630 / 60)
 
     def test_sum_across_meters(self):
         start = datetime(2015, 1, 1)
-        readings = [RawReading(ts, (2.0, 3.0)) for ts in minutes(start, 1440)]
+        readings = readings_of(minutes(start, 1440), [(2.0, 3.0)] * 1440)
         records = aggregate(readings, Granularity(1440))
         assert len(records) == 1
         assert records[0].bucket_index == 0
         assert records[0].target == pytest.approx(5.0)
 
     def test_rejects_nulls(self):
-        readings = [RawReading(datetime(2015, 1, 1), (None,))]
+        readings = readings_of([datetime(2015, 1, 1)], [(None,)])
         with pytest.raises(DataError, match="null reading"):
             aggregate(readings, Granularity(60))
 
     def test_chronological_output(self):
         start = datetime(2015, 1, 1)
-        readings = [
-            RawReading(ts, (float(i),))
-            for i, ts in enumerate(minutes(start, 3 * 1440))
-        ]
+        readings = readings_of(
+            minutes(start, 3 * 1440), [(float(i),) for i in range(3 * 1440)]
+        )
         records = aggregate(readings, Granularity(60))
         starts = [r.bucket_start for r in records]
         assert starts == sorted(starts)
         assert len(records) == 72
+
+    def test_empty(self):
+        empty = parse_readings("timestamp,a\n")
+        assert aggregate(interpolate_nulls(empty), Granularity(60)) == []
+
+
+def _gappy_csv(seed):
+    """Three meters over about three days, starting and ending mid-bucket,
+    with 2 % null cells, single missing minutes, a missing 97-minute stretch
+    and some rows carrying seconds or microseconds."""
+    rng = np.random.default_rng(seed)
+    start = datetime(2015, 2, 27, 21, 7)
+    keep = rng.random(3 * 1440 + 311) > 0.05
+    keep[1000:1097] = False
+    lines = ["timestamp,m1,m2,m3"]
+    for i in np.flatnonzero(keep):
+        ts = start + timedelta(
+            minutes=int(i),
+            seconds=int(i % 11 == 0) * 30,
+            microseconds=int(i % 3 == 0) * int(i * 7919 % 1_000_000),
+        )
+        cells = [
+            "" if rng.random() < 0.02 else f"{v:.3f}" for v in rng.uniform(0, 150, 3)
+        ]
+        lines.append(",".join([ts.isoformat()] + cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstRowOracle:
+    @pytest.mark.parametrize("g", [1, 15, 60, 1440])
+    def test_bucket_means_bit_identical(self, g):
+        for seed in (1, 2, 3):
+            text = _gappy_csv(seed)
+            rows = oracles.parse_rows(text)
+            repaired = oracles.interpolate_rows(rows)
+            expected = oracles.bucket_means(repaired, g)
+
+            readings = parse_readings(text)
+            filled = interpolate_nulls(readings)
+            records = aggregate(filled, Granularity(g))
+
+            nulls = [[np.nan if v is None else v for v in vals] for _, vals in rows]
+            assert np.array_equal(bits(readings.values), bits(nulls))
+            assert np.array_equal(bits(filled.values), bits([v for _, v in repaired]))
+            assert len(records) == len(expected)
+            for record, (start, index, mean) in zip(records, expected):
+                assert record.bucket_start == start
+                assert record.bucket_index == index
+                assert record.target.hex() == mean.hex()
+            sizes = {}
+            for ts, _ in rows:
+                key = (ts.date(), (ts.hour * 60 + ts.minute) // g)
+                sizes[key] = sizes.get(key, 0) + 1
+            if g > 1:  # the input exercises partial buckets
+                assert any(n != g for n in sizes.values())

@@ -1,6 +1,7 @@
 import math
 from datetime import date
 
+import numpy as np
 import pytest
 
 from loadcast.errors import ConfigError
@@ -15,17 +16,17 @@ def test_deterministic_noise_free_day(tmp_path):
     path = generate_synthetic(spec, tmp_path / "one.csv")
     readings = parse_readings(path.read_text())
     assert len(readings) == 1440
-    assert all(r.values[0] is not None and r.values[0] >= 0 for r in readings)
+    values = readings.values[:, 0]
+    assert not np.isnan(values).any() and (values >= 0).all()
     # noise-free: the smooth daily component peaks a quarter of the way in
-    values = [r.values[0] for r in readings]
-    assert values[360] == max(values)
+    assert values[360] == values.max()
 
 
 def test_null_rate_within_binomial_band(tmp_path):
     spec = SyntheticSpec(days=10, meters=1, null_rate=0.01, seed=7)
     path = generate_synthetic(spec, tmp_path / "nulls.csv")
     readings = parse_readings(path.read_text())
-    nulls = sum(1 for r in readings if r.values[0] is None)
+    nulls = int(np.isnan(readings.values[:, 0]).sum())
     n = 10 * 1440
     sigma = math.sqrt(n * 0.01 * 0.99)
     assert abs(nulls - n * 0.01) <= 3 * sigma
@@ -51,8 +52,8 @@ def test_weekend_step_lowers_level(tmp_path):
     )
     path = generate_synthetic(spec, tmp_path / "wk.csv")
     readings = parse_readings(path.read_text())
-    friday = [r.values[0] for r in readings[:1440]]
-    saturday = [r.values[0] for r in readings[1440:]]
+    friday = readings.values[:1440, 0]
+    saturday = readings.values[1440:, 0]
     assert sum(saturday) < sum(friday)
 
 
