@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,21 +75,15 @@ def fit_weights(
     return EnsembleWeights(weights=weights, validation_rmse=rmses)
 
 
-def predict_blend(weights: EnsembleWeights, predictions: Mapping[str, float]) -> float:
-    """Convex combination of one prediction per weighted model."""
+def predict_blend_many(
+    weights: EnsembleWeights, predictions: Mapping[str, Sequence[float]]
+) -> np.ndarray:
+    """Convex combination of the weighted models' prediction arrays."""
     if set(predictions) != set(weights.weights):
         raise DataError(
             f"prediction keys {sorted(predictions)} do not match "
             f"weighted models {sorted(weights.weights)}"
         )
-    return float(sum(weights.weights[n] * predictions[n] for n in weights.weights))
-
-
-def predict_blend_many(
-    weights: EnsembleWeights, predictions: Mapping[str, Sequence[float]]
-) -> np.ndarray:
-    if set(predictions) != set(weights.weights):
-        raise DataError("prediction keys do not match weighted models")
     arrays = {n: np.asarray(p, dtype=float) for n, p in predictions.items()}
     lengths = {len(a) for a in arrays.values()}
     if len(lengths) != 1:

@@ -8,6 +8,7 @@ win. LOADCAST_OUT_DIR supplies the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -57,7 +58,8 @@ class _Resolver:
             _load_config_file(self.args["config"]) if self.args.get("config") else {}
         )
 
-    def get(self, key, default, cast=str):
+    def get(self, key, cast=str):
+        """The value of `key`, or None when neither source gives one."""
         cli_value = self.args.get(key)
         if cli_value is not None:
             return cli_value
@@ -67,7 +69,18 @@ class _Resolver:
                 return cast(raw)
             except (ValueError, TypeError):
                 raise ConfigError(f"config file: bad value for {key}: {raw!r}")
-        return default
+        return None
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that have a value; the rest keep the defaults
+    of the dataclass they are passed to."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _field_default(cls, name):
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
 
 
 def _parse_bool(text) -> bool:
@@ -89,19 +102,28 @@ def _parse_offsets(text):
         )
 
 
-def _split_spec(name: str, train_fraction: float) -> SplitSpec:
+def _split_spec(name, train_fraction) -> SplitSpec:
+    """The split named on the command line; without a name, the strategy of
+    the default ExperimentConfig."""
+    fraction = _given(train_fraction=train_fraction)
+    if name is None:
+        return SplitSpec(_field_default(ExperimentConfig, "split").strategy, **fraction)
     if name.startswith("season:"):
-        return SplitSpec(
-            "single_season", season=name.split(":", 1)[1],
-            train_fraction=train_fraction,
-        )
+        return SplitSpec("single_season", season=name.split(":", 1)[1], **fraction)
     alias = {"ordered": "ordered", "seasonal": "seasonal", "monthly": "monthly"}
     if name not in alias:
         raise ConfigError(
             f"unknown split {name!r}; expected ordered, seasonal, monthly, "
             "or season:<winter|spring|summer|autumn>"
         )
-    return SplitSpec(alias[name], train_fraction=train_fraction)
+    return SplitSpec(alias[name], **fraction)
+
+
+def _iso_date(text) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ConfigError(f"bad date {text!r}; expected YYYY-MM-DD")
 
 
 def _default_out_dir() -> str:
@@ -110,74 +132,80 @@ def _default_out_dir() -> str:
 
 def cmd_synth(args) -> int:
     r = _Resolver(args)
-    spec = SyntheticSpec(
-        start=date.fromisoformat(r.get("start", "2015-01-01")),
-        days=r.get("days", 365, int),
-        meters=r.get("meters", 6, int),
-        base_kw=r.get("base_kw", 60.0, float),
-        daily_amplitude=r.get("daily_amplitude", 20.0, float),
-        weekly_amplitude=r.get("weekly_amplitude", 8.0, float),
-        seasonal_amplitude=r.get("seasonal_amplitude", 25.0, float),
-        noise_std=r.get("noise_std", 3.0, float),
-        null_rate=r.get("null_rate", 0.0, float),
-        seed=r.get("seed", 0, int),
-    )
-    out = r.get("out", None)
+    start = r.get("start")
+    spec = SyntheticSpec(**_given(
+        start=None if start is None else _iso_date(start),
+        days=r.get("days", int),
+        meters=r.get("meters", int),
+        base_kw=r.get("base_kw", float),
+        daily_amplitude=r.get("daily_amplitude", float),
+        weekly_amplitude=r.get("weekly_amplitude", float),
+        seasonal_amplitude=r.get("seasonal_amplitude", float),
+        noise_std=r.get("noise_std", float),
+        null_rate=r.get("null_rate", float),
+        seed=r.get("seed", int),
+    ))
+    out = r.get("out")
     if out is None:
         out = Path(_default_out_dir()) / "synthetic.csv"
-    path = generate_synthetic(spec, out)
+    try:
+        path = generate_synthetic(spec, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     r = _Resolver(args)
-    input_path = r.get("input", None)
+    input_path = r.get("input")
     if input_path is None:
         raise ConfigError("run needs --input (or input in the config file)")
-    out_dir = r.get("out_dir", None)
+    out_dir = r.get("out_dir")
     if out_dir is None:
         out_dir = _default_out_dir()
-    seed = r.get("seed", 0, int)
-    gain_mode = r.get("gain_mode", "relative")
-    rf_tree = TreeConfig(
-        max_depth=r.get("rf_depth", 10, int),
-        min_gain=r.get("rf_min_gain", 0.2, float),
+    seed = r.get("seed", int)
+    gain_mode = r.get("gain_mode")
+    rf_tree = TreeConfig(**_given(
+        max_depth=r.get("rf_depth", int),
+        min_gain=r.get("rf_min_gain", float),
         gain_mode=gain_mode,
-    )
-    gbt_tree = TreeConfig(
-        max_depth=r.get("gbt_depth", 10, int),
-        min_gain=r.get("gbt_min_gain", 0.2, float),
+    ))
+    gbt_tree = TreeConfig(**_given(
+        max_depth=r.get("gbt_depth", int),
+        min_gain=r.get("gbt_min_gain", float),
         gain_mode=gain_mode,
+    ))
+    scaler = r.get("scaler")
+    lag_offsets = r.get("lag_offsets")
+    options = _given(
+        granularity=r.get("granularity", int),
+        scaler=scaler,
+        lags=r.get("lags", _parse_bool),
+        lag_offsets=_parse_offsets(lag_offsets) if lag_offsets else None,
+        validation_fraction=r.get("validation_fraction", float),
+        mad_mode=r.get("mad_mode"),
     )
-    scaler = r.get("scaler", "minmax")
-    lag_offsets = r.get("lag_offsets", None)
+    if scaler == "none":
+        options["scaler"] = None
     config = ExperimentConfig(
         input_path=input_path,
         out_dir=out_dir,
-        granularity=r.get("granularity", 1440, int),
-        split=_split_spec(
-            r.get("split", "monthly"),
-            r.get("train_fraction", 0.8, float),
-        ),
-        scaler=None if scaler == "none" else scaler,
-        lags=r.get("lags", False, _parse_bool),
-        lag_offsets=_parse_offsets(lag_offsets) if lag_offsets else None,
-        forest=ForestConfig(
-            n_trees=r.get("trees", 15, int),
+        split=_split_spec(r.get("split"), r.get("train_fraction", float)),
+        forest=ForestConfig(**_given(
+            n_trees=r.get("trees", int),
             tree=rf_tree,
-            bootstrap=r.get("bootstrap", True, _parse_bool),
-            feature_fraction=r.get("feature_fraction", 1 / 3, float),
+            bootstrap=r.get("bootstrap", _parse_bool),
+            feature_fraction=r.get("feature_fraction", float),
             seed=seed,
-        ),
-        gbt=GbtConfig(
-            n_rounds=r.get("rounds", 100, int),
-            shrinkage=r.get("shrinkage", 0.1, float),
+        )),
+        gbt=GbtConfig(**_given(
+            n_rounds=r.get("rounds", int),
+            shrinkage=r.get("shrinkage", float),
             tree=gbt_tree,
             seed=seed,
-        ),
-        validation_fraction=r.get("validation_fraction", 0.1, float),
-        mad_mode=r.get("mad_mode", "mean"),
+        )),
+        **options,
     )
     result = run_experiment(config)
     print(result.table.to_text())
@@ -187,17 +215,17 @@ def cmd_run(args) -> int:
 
 def cmd_week(args) -> int:
     r = _Resolver(args)
-    predictions = r.get("predictions", None)
+    predictions = r.get("predictions")
     if predictions is None:
         raise ConfigError("week needs --predictions")
-    anchor_text = r.get("anchor", None)
+    anchor_text = r.get("anchor")
     if anchor_text is None:
         raise ConfigError("week needs --anchor (ISO date or datetime)")
     try:
         anchor = datetime.fromisoformat(anchor_text)
     except ValueError:
         raise ConfigError(f"bad anchor {anchor_text!r}")
-    out = r.get("out", None)
+    out = r.get("out")
     if out is None:
         out = Path(_default_out_dir()) / "week.csv"
     path = emit_week_series(predictions, anchor, out)
@@ -212,6 +240,8 @@ def cmd_compare(args) -> int:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read reports file {path}: {exc}")
+        if not isinstance(doc, dict):
+            raise DataError(f"reports file {path} is not a JSON object")
         for name, entry in doc.items():
             reports[name] = MetricsReport.from_dict(entry)
     table = compare_models(reports)

@@ -8,19 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
-from .tree import (
-    RegressionTree,
-    TreeConfig,
-    fit_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
+from .errors import ConfigError, DataError
+from .tree import TreeConfig, fit_tree, tree_from_dict, tree_to_dict
 
 
 @dataclass(frozen=True)
@@ -48,7 +41,8 @@ class ForestModel:
     config: ForestConfig
 
     def predict(self, x) -> float:
-        return float(np.mean([t.predict(x) for t in self.trees]))
+        """One row; the recursive lag evaluation predicts row by row."""
+        return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return np.mean([t.predict_many(X) for t in self.trees], axis=0)
@@ -77,10 +71,8 @@ class GbtModel:
     config: GbtConfig
 
     def predict(self, x) -> float:
-        out = self.base_score
-        for t in self.trees:
-            out += self.config.shrinkage * t.predict(x)
-        return float(out)
+        """One row; the recursive lag evaluation predicts row by row."""
+        return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         out = np.full(len(X), self.base_score)
@@ -119,10 +111,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> ForestMode
     return ForestModel(trees=trees, config=config)
 
 
-def predict_forest(model: ForestModel, x) -> float:
-    return model.predict(np.asarray(x, dtype=float))
-
-
 def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,76 +127,45 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
     return GbtModel(base_score=base, trees=trees, config=config)
 
 
-def predict_gbt(model: GbtModel, x) -> float:
-    return model.predict(np.asarray(x, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def forest_config_dict(c: ForestConfig) -> dict:
-    return {
-        "n_trees": c.n_trees,
-        "bootstrap": c.bootstrap,
-        "feature_fraction": c.feature_fraction,
-        "seed": c.seed,
-        "tree": _tree_config_dict(c.tree),
-    }
+def _config_from(cls, doc: dict):
+    """ForestConfig/GbtConfig from its `asdict` form; absent keys take the
+    dataclass defaults."""
+    return cls(**{**doc, "tree": TreeConfig(**doc["tree"])})
 
 
 def forest_to_dict(model: ForestModel) -> dict:
     return {
         "model": "random_forest",
-        "config": forest_config_dict(model.config),
+        "config": asdict(model.config),
         "trees": [tree_to_dict(t) for t in model.trees],
     }
 
 
 def forest_from_dict(doc: dict) -> ForestModel:
-    c = doc["config"]
-    config = ForestConfig(
-        n_trees=c["n_trees"],
-        bootstrap=c["bootstrap"],
-        feature_fraction=c["feature_fraction"],
-        seed=c["seed"],
-        tree=_tree_config_from(c["tree"]),
-    )
     return ForestModel(
-        trees=[tree_from_dict(t) for t in doc["trees"]], config=config
+        trees=[tree_from_dict(t) for t in doc["trees"]],
+        config=_config_from(ForestConfig, doc["config"]),
     )
-
-
-def gbt_config_dict(c: GbtConfig) -> dict:
-    return {
-        "n_rounds": c.n_rounds,
-        "shrinkage": c.shrinkage,
-        "seed": c.seed,
-        "tree": _tree_config_dict(c.tree),
-    }
 
 
 def gbt_to_dict(model: GbtModel) -> dict:
     return {
         "model": "gradient_boosting",
         "base_score": model.base_score,
-        "config": gbt_config_dict(model.config),
+        "config": asdict(model.config),
         "trees": [tree_to_dict(t) for t in model.trees],
     }
 
 
 def gbt_from_dict(doc: dict) -> GbtModel:
-    c = doc["config"]
-    config = GbtConfig(
-        n_rounds=c["n_rounds"],
-        shrinkage=c["shrinkage"],
-        seed=c.get("seed", 0),
-        tree=_tree_config_from(c["tree"]),
-    )
     return GbtModel(
         base_score=doc["base_score"],
         trees=[tree_from_dict(t) for t in doc["trees"]],
-        config=config,
+        config=_config_from(GbtConfig, doc["config"]),
     )
 
 
@@ -227,21 +184,3 @@ def load_model(text: str):
     if doc.get("model") == "gradient_boosting":
         return gbt_from_dict(doc)
     raise DataError(f"unknown model kind {doc.get('model')!r}")
-
-
-def _tree_config_dict(c: TreeConfig) -> dict:
-    return {
-        "max_depth": c.max_depth,
-        "min_gain": c.min_gain,
-        "min_samples_split": c.min_samples_split,
-        "gain_mode": c.gain_mode,
-    }
-
-
-def _tree_config_from(d: dict) -> TreeConfig:
-    return TreeConfig(
-        max_depth=d["max_depth"],
-        min_gain=d["min_gain"],
-        min_samples_split=d["min_samples_split"],
-        gain_mode=d["gain_mode"],
-    )

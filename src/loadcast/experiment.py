@@ -9,36 +9,23 @@ model artifacts. Fully reproducible given the seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .blend import EnsembleWeights, fit_weights, predict_blend_many
-from .ensembles import (
-    ForestConfig,
-    GbtConfig,
-    dump_model,
-    fit_forest,
-    fit_gbt,
-    forest_config_dict,
-    gbt_config_dict,
-)
+from .ensembles import ForestConfig, GbtConfig, dump_model, fit_forest, fit_gbt
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
-from .features import (
-    build_samples,
-    default_lag_offsets,
-    feature_matrix,
-    feature_names,
-    target_vector,
-)
-from .metrics import ComparisonTable, MetricsReport, compare_models, compute_metrics
+from .features import build_samples, default_lag_offsets, feature_names
+from .metrics import ComparisonTable, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
-from .scaling import Scaler, fit_scaler
+from .scaling import fit_scaler
 from .splitting import SplitSpec, split
 
 MODEL_RF = "random_forest"
@@ -80,23 +67,11 @@ class ExperimentConfig:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "input_path": str(self.input_path),
-            "out_dir": str(self.out_dir),
-            "granularity": self.granularity,
-            "split": {
-                "strategy": self.split.strategy,
-                "season": self.split.season,
-                "train_fraction": self.split.train_fraction,
-            },
-            "scaler": self.scaler,
-            "lags": self.lags,
-            "lag_offsets": list(self.lag_offsets) if self.lag_offsets else None,
-            "forest": forest_config_dict(self.forest),
-            "gbt": gbt_config_dict(self.gbt),
-            "validation_fraction": self.validation_fraction,
-            "mad_mode": self.mad_mode,
-        }
+        doc = dataclasses.asdict(self)
+        doc["input_path"] = str(self.input_path)
+        doc["out_dir"] = str(self.out_dir)
+        doc["lag_offsets"] = self.lag_offsets or None  # () is written as null
+        return doc
 
 
 @dataclass
@@ -122,18 +97,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         lag_offsets = tuple(config.lag_offsets or default_lag_offsets(granularity))
     names = feature_names(lag_offsets)
 
+    def make_out_dir():
+        try:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}")
+
     def read_input():
         if not config.input_path.exists():
             raise DataError(f"input file not found: {config.input_path}")
-        return config.input_path.read_text()
+        try:
+            return config.input_path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read input {config.input_path}: {exc}")
 
+    _stage("out-dir", make_out_dir)
     text = _stage("read-input", read_input)
     readings = _stage("parse", parse_readings, text)
     readings = _stage("interpolate", interpolate_nulls, readings)
-    records = _stage("aggregate", aggregate, readings, granularity)
-    samples = _stage("features", build_samples, records, lag_offsets)
+    buckets = _stage("aggregate", aggregate, readings, granularity)
+    samples = _stage("features", build_samples, buckets, lag_offsets)
     train, test = _stage("split", split, samples, config.split)
-    if not test:
+    if len(test) == 0:
         raise DataError("[split] empty test set")
 
     n_val = max(1, int(config.validation_fraction * len(train)))
@@ -141,12 +126,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise DataError("[split] training set too small for a validation tail")
     train_core, validation = train[:-n_val], train[-n_val:]
 
-    X_core = feature_matrix(train_core)
-    y_core = target_vector(train_core)
-    X_val = feature_matrix(validation)
-    y_val = target_vector(validation)
-    X_test = feature_matrix(test)
-    y_test = target_vector(test)
+    X_core, y_core = samples.X[train_core], samples.y[train_core]
+    X_val, y_val = samples.X[validation], samples.y[validation]
+    X_test, y_test = samples.X[test], samples.y[test]
 
     scaler = None
     if config.scaler is not None:
@@ -159,10 +141,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     gbt = _stage("train-gbt", fit_gbt, X_core, y_core, config.gbt)
 
     if config.lags:
+        holdout = np.concatenate([validation, test])
         predict = lambda model, subset: _predict_recursive(
-            model, subset, samples, lag_offsets, scaler, holdout=set(
-                id(s) for s in validation + test
-            )
+            model, subset, samples, lag_offsets, scaler, holdout
         )
         val_rf = predict(forest, validation)
         val_gbt = predict(gbt, validation)
@@ -203,7 +184,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "write-output",
         _write_outputs,
         config,
-        test,
+        samples.timestamps[test],
         y_test,
         pred_rf,
         pred_gbt,
@@ -224,32 +205,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _predict_recursive(model, subset, all_samples, lag_offsets, scaler, holdout):
-    """Chronological one-step-ahead prediction where the model's own earlier
-    predictions fill the lag slots of held-out samples."""
-    values = np.array([s.target for s in all_samples], dtype=float)
-    index_of = {id(s): i for i, s in enumerate(all_samples)}
-    known = np.array([id(s) not in holdout for s in all_samples])
-    values = np.where(known, values, np.nan)
+def _predict_recursive(model, subset, samples, lag_offsets, scaler, holdout):
+    """Chronological one-step-ahead prediction of the samples at the
+    increasing indices `subset`, where the model's own earlier predictions
+    fill the lag slots of the held-out indices `holdout`."""
+    values = samples.y.copy()
+    values[holdout] = np.nan
 
-    preds = {}
-    n_base = len(all_samples[0].features.as_array()) - len(lag_offsets)
-    for s in sorted(subset, key=lambda s: s.origin_timestamp):
-        pos = index_of[id(s)]
-        row = s.features.as_array()
+    preds = np.empty(len(subset))
+    n_base = samples.X.shape[1] - len(lag_offsets)
+    for i, pos in enumerate(subset):
+        row = samples.X[pos].copy()
         for li, k in enumerate(lag_offsets):
-            j = pos - k
-            v = values[0 if j < 0 else j]
+            v = values[max(pos - k, 0)]
             if math.isnan(v):
                 # earlier held-out bucket not in this prediction pass
                 v = _nearest_known(values, pos)
             row[n_base + li] = v
         if scaler is not None:
-            row = scaler.transform_row(row)
+            row = scaler.transform(row[None, :])[0]
         p = model.predict(row)
-        preds[pos] = p
+        preds[i] = p
         values[pos] = p
-    return np.array([preds[index_of[id(s)]] for s in subset])
+    return preds
 
 
 def _nearest_known(values, pos):
@@ -268,7 +246,7 @@ def _format_float(v: float) -> str:
 
 def _write_outputs(
     config,
-    test,
+    test_timestamps,
     y_test,
     pred_rf,
     pred_gbt,
@@ -281,17 +259,17 @@ def _write_outputs(
     table,
 ):
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     files = {}
 
     pred_path = out / "predictions.csv"
     with pred_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
-        for s, a, r, g, b in zip(test, y_test, pred_rf, pred_gbt, pred_blend):
+        stamps = np.datetime_as_string(test_timestamps, unit="m")
+        for t, a, r, g, b in zip(stamps, y_test, pred_rf, pred_gbt, pred_blend):
             writer.writerow(
                 [
-                    s.origin_timestamp.isoformat(timespec="minutes"),
+                    t,
                     _format_float(a),
                     _format_float(r),
                     _format_float(g),
@@ -336,8 +314,13 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
         if header is None or tuple(header) != PREDICTION_COLUMNS:
             raise DataError(f"unexpected prediction CSV header: {header}")
         kept = []
-        for row in reader:
-            ts = datetime.fromisoformat(row[0])
+        for row_no, row in enumerate(reader, start=2):
+            try:
+                ts = datetime.fromisoformat(row[0])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"malformed timestamp at row {row_no} of {predictions_csv}"
+                )
             if anchor <= ts < end:
                 kept.append(row)
     if not kept:

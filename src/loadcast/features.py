@@ -7,12 +7,11 @@ plus optional lagged consumption values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .readings import AggregatedRecord, Granularity
+from .readings import Granularity, Readings
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 
@@ -22,6 +21,8 @@ _MONTH_TO_SEASON = {
     6: "summer", 7: "summer", 8: "summer",
     9: "autumn", 10: "autumn", 11: "autumn",
 }
+# season index in SEASONS of each month, indexed by month - 1
+SEASON_OF_MONTH = np.array([SEASONS.index(_MONTH_TO_SEASON[m]) for m in range(1, 13)])
 
 BASE_FEATURES = (
     "year",
@@ -49,43 +50,21 @@ def season_year(year: int, month: int) -> int:
     return year + 1 if month == 12 else year
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    year: int
-    month: int
-    week_of_year: int
-    day_of_year: int
-    day_of_month: int
-    day_of_week: int
-    hour: int
-    half_hour: int
-    season: str
-    is_weekend: bool
-    lags: Optional[tuple] = None
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Featurized buckets as columns.
 
-    def as_array(self) -> np.ndarray:
-        base = [
-            self.year,
-            self.month,
-            self.week_of_year,
-            self.day_of_year,
-            self.day_of_month,
-            self.day_of_week,
-            self.hour,
-            self.half_hour,
-            SEASONS.index(self.season),
-            int(self.is_weekend),
-        ]
-        if self.lags is not None:
-            base.extend(self.lags)
-        return np.array(base, dtype=float)
+    `timestamps` holds the bucket starts (increasing datetime64[m]), `X` the
+    float64 feature matrix (one row per bucket, columns as `feature_names`)
+    and `y` the targets (mean kW of each bucket).
+    """
 
+    timestamps: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
 
-@dataclass(frozen=True)
-class Sample:
-    features: FeatureVector
-    target: float
-    origin_timestamp: datetime
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 def feature_names(lag_offsets: Optional[Sequence[int]] = None) -> list:
@@ -100,58 +79,48 @@ def default_lag_offsets(granularity: Granularity) -> tuple:
     return (1, 2, 3, bpd, 7 * bpd)
 
 
-def extract_features(
-    record: AggregatedRecord,
-    history: Optional[Sequence[float]] = None,
-    lag_offsets: Optional[Sequence[int]] = None,
-) -> FeatureVector:
-    """Calendar features of the bucket start; optional lags from `history`
-    (chronological prior targets, most recent last). Offsets reaching before
-    the history start fall back to the earliest known target."""
-    ts = record.bucket_start
-    lags = None
-    if lag_offsets:
-        lags = []
-        for k in lag_offsets:
-            if history is None or len(history) == 0:
-                lags.append(record.target)
-            elif k <= len(history):
-                lags.append(history[-k])
-            else:
-                lags.append(history[0])
-        lags = tuple(lags)
-    return FeatureVector(
-        year=ts.year,
-        month=ts.month,
-        week_of_year=ts.isocalendar()[1],
-        day_of_year=ts.timetuple().tm_yday,
-        day_of_month=ts.day,
-        day_of_week=ts.weekday(),
-        hour=ts.hour,
-        half_hour=(ts.hour * 60 + ts.minute) // 30,
-        season=season_of_month(ts.month),
-        is_weekend=ts.weekday() >= 5,
-        lags=lags,
+def calendar_features(timestamps) -> np.ndarray:
+    """The BASE_FEATURES of each timestamp as a float64 (n, 10) matrix;
+    season is its index in SEASONS and is_weekend is 0 or 1."""
+    minutes = np.asarray(timestamps, dtype="datetime64[m]")
+    days = minutes.astype("datetime64[D]")
+    months = days.astype("datetime64[M]")
+    years = days.astype("datetime64[Y]")
+    month = months.astype(np.int64) % 12 + 1
+    day_of_week = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
+    minute_of_day = (minutes - days).astype(np.int64)
+    # the ISO week is the week of the year that holds the same week's Thursday
+    thursdays = days + (3 - day_of_week)
+    iso_week = (thursdays - thursdays.astype("datetime64[Y]")).astype(np.int64) // 7 + 1
+    columns = (
+        years.astype(np.int64) + 1970,
+        month,
+        iso_week,
+        (days - years).astype(np.int64) + 1,
+        (days - months).astype(np.int64) + 1,
+        day_of_week,
+        minute_of_day // 60,
+        minute_of_day // 30,
+        SEASON_OF_MONTH[month - 1],
+        day_of_week >= 5,
     )
+    return np.column_stack(columns).astype(float)
 
 
 def build_samples(
-    records: Sequence[AggregatedRecord],
+    buckets: Readings,
     lag_offsets: Optional[Sequence[int]] = None,
-) -> list:
-    """Featurize aggregated records in chronological order."""
-    samples = []
-    history: list = []
-    for rec in records:
-        fv = extract_features(rec, history if lag_offsets else None, lag_offsets)
-        samples.append(Sample(fv, rec.target, rec.bucket_start))
-        history.append(rec.target)
-    return samples
+) -> Samples:
+    """Featurize the one-column bucket series of `aggregate`.
 
-
-def feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
-    return np.stack([s.features.as_array() for s in samples])
-
-
-def target_vector(samples: Sequence[Sample]) -> np.ndarray:
-    return np.array([s.target for s in samples], dtype=float)
+    Lag k of bucket i is the target of bucket max(i - k, 0): offsets reaching
+    before the first bucket fall back to its target, so the first bucket sees
+    its own target as every lag.
+    """
+    timestamps = buckets.timestamps.astype("datetime64[m]")
+    y = buckets.values[:, 0]
+    X = calendar_features(timestamps)
+    if lag_offsets:
+        rows = np.arange(len(y))
+        X = np.column_stack([X] + [y[np.maximum(rows - k, 0)] for k in lag_offsets])
+    return Samples(timestamps, X, y)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,25 +29,14 @@ class MetricsReport:
     n_skipped_mape: int
 
     def as_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mad": self.mad,
-            "mape": self.mape,
-            "n_points": self.n_points,
-            "n_skipped_mape": self.n_skipped_mape,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            rmse=d["rmse"],
-            mae=d["mae"],
-            mad=d["mad"],
-            mape=d["mape"],
-            n_points=d["n_points"],
-            n_skipped_mape=d["n_skipped_mape"],
-        )
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise DataError(f"malformed metrics report {d!r}: {exc}")
 
 
 def compute_metrics(

@@ -39,10 +39,13 @@ class Granularity:
 
 @dataclass(frozen=True, eq=False)
 class Readings:
-    """Minute-level records as columns.
+    """Timestamped records as columns.
 
-    `timestamps` is a strictly increasing datetime64[us] array with one entry
-    per row; `values` is a float64 (rows, meters) matrix of kW, NaN = null.
+    `timestamps` is a strictly increasing datetime64 array with one entry per
+    row; `values` is a float64 (rows, columns) matrix of kW, NaN = null. A
+    parsed minute series has one column per meter and datetime64[us] stamps;
+    `aggregate` gives bucket starts (datetime64[m]) and one column of mean
+    building totals.
     """
 
     timestamps: np.ndarray
@@ -50,15 +53,6 @@ class Readings:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class AggregatedRecord:
-    """One bucket: start time, index within its day, and mean total power (kW)."""
-
-    bucket_start: datetime
-    bucket_index: int
-    target: float
 
 
 def bucket_index_of(timestamps, granularity: Granularity):
@@ -291,9 +285,10 @@ def interpolate_nulls(readings: Readings) -> Readings:
     return Readings(readings.timestamps, values)
 
 
-def aggregate(readings: Readings, granularity: Granularity) -> list:
+def aggregate(readings: Readings, granularity: Granularity) -> Readings:
     """Sum meters into a building total per minute, then average totals per
-    (date, bucket) group. Buckets with no readings are simply absent."""
+    (date, bucket) group: one row per bucket, holding its start and mean.
+    Buckets with no readings are simply absent."""
     nulls = np.isnan(readings.values).any(axis=1)
     if nulls.any():
         ts = readings.timestamps[np.argmax(nulls)].item()
@@ -319,9 +314,4 @@ def aggregate(readings: Readings, granularity: Granularity) -> list:
     for size in np.unique(sizes):
         same = sizes == size
         means[same] = totals[first[same][:, None] + np.arange(size)].mean(axis=1)
-    return [
-        AggregatedRecord(start, bucket, target)
-        for start, bucket, target in zip(
-            starts[first].tolist(), index[first].tolist(), means.tolist()
-        )
-    ]
+    return Readings(starts[first], means[:, None])

@@ -75,9 +75,6 @@ class Scaler:
                     out[:, j] = out[:, j] / m
         return out
 
-    def transform_row(self, x: np.ndarray) -> np.ndarray:
-        return self.transform(x.reshape(1, -1))[0]
-
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
         out = np.array(X, dtype=float, copy=True)
         for j, name in enumerate(self.feature_names):
@@ -139,7 +136,3 @@ class Scaler:
 
 def fit_scaler(X: np.ndarray, names: Sequence[str], kind: str) -> Scaler:
     return Scaler(kind=kind).fit(X, names)
-
-
-def apply_scaler(scaler: Scaler, X: np.ndarray, names: Optional[Sequence[str]] = None) -> np.ndarray:
-    return scaler.transform(X, names)

@@ -1,4 +1,4 @@
-"""Train/test splitting strategies over a chronological sample list.
+"""Train/test splitting strategies over chronological samples.
 
 All strategies keep train and test chronological and disjoint. Stratified
 variants apply the train fraction within each month or season group, taking
@@ -6,12 +6,13 @@ each group's chronological head for training.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import SEASONS, Sample, season_year
+from .features import SEASON_OF_MONTH, SEASONS, Samples
 
 STRATEGIES = ("ordered", "seasonal", "monthly", "single_season")
 
@@ -39,39 +40,34 @@ class SplitSpec:
             )
 
 
-def _group_key(sample: Sample, strategy: str):
-    ts = sample.origin_timestamp
-    if strategy == "monthly":
-        return (ts.year, ts.month)
-    if strategy == "seasonal":
-        return (season_year(ts.year, ts.month), sample.features.season)
-    return 0  # ordered / single_season: one global group
-
-
-def split(samples: Sequence[Sample], spec: SplitSpec):
-    """Returns (train, test); both chronological, disjoint, union = selection."""
+def split(samples: Samples, spec: SplitSpec):
+    """Returns (train, test): increasing, disjoint index arrays into
+    `samples` whose union is the selection."""
+    months = samples.timestamps.astype("datetime64[M]").astype(np.int64)
     if spec.strategy == "single_season":
-        selected = [s for s in samples if s.features.season == spec.season]
+        season = SEASONS.index(spec.season)
+        selected = np.flatnonzero(SEASON_OF_MONTH[months % 12] == season)
     else:
-        selected = list(samples)
-    if not selected:
+        selected = np.arange(len(samples))
+    if len(selected) == 0:
         raise DataError(
             f"empty selection for split strategy {spec.strategy!r}"
             + (f" (season {spec.season})" if spec.season else "")
         )
 
-    strategy = spec.strategy
-    counts: dict = {}
-    for s in selected:
-        key = _group_key(s, strategy)
-        counts[key] = counts.get(key, 0) + 1
-    take = {k: math.ceil(spec.train_fraction * n) for k, n in counts.items()}
-
-    train, test = [], []
-    seen: dict = {}
-    for s in selected:
-        key = _group_key(s, strategy)
-        i = seen.get(key, 0)
-        seen[key] = i + 1
-        (train if i < take[key] else test).append(s)
-    return train, test
+    months = months[selected]
+    if spec.strategy == "monthly":
+        keys = months
+    elif spec.strategy == "seasonal":
+        # three-month runs from December: a December joins the next year's winter
+        keys = (months + 1) // 3
+    else:
+        keys = np.zeros(len(selected), dtype=np.int64)  # one global group
+    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    # rank of each sample within its group, in timestamp order
+    order = np.argsort(group, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    rank = np.empty(len(group), dtype=np.int64)
+    rank[order] = np.arange(len(group)) - first[group[order]]
+    in_train = rank < np.ceil(spec.train_fraction * sizes)[group]
+    return selected[in_train], selected[~in_train]

@@ -8,8 +8,7 @@ Routing: feature value <= threshold goes left.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,9 +51,6 @@ class Leaf:
     value: float
     n_samples: int
 
-    def predict(self, x) -> float:
-        return self.value
-
 
 @dataclass
 class Internal:
@@ -63,32 +59,25 @@ class Internal:
     left: object
     right: object
 
-    def predict(self, x) -> float:
-        node = self
-        while isinstance(node, Internal):
-            node = node.left if x[node.feature_id] <= node.threshold else node.right
-        return node.value
-
 
 @dataclass
 class RegressionTree:
     root: object
     n_features: int
 
-    def predict(self, x) -> float:
-        if len(x) != self.n_features:
-            raise SchemaError(
-                f"expected {self.n_features} features, got {len(x)}"
-            )
-        return self.root.predict(x)
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
+    def predict_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_features:
+        if X.ndim != 2 or X.shape[1] != self.n_features:
             raise SchemaError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
+                f"expected rows of {self.n_features} features, got shape {X.shape}"
             )
-        return np.array([self.root.predict(row) for row in X])
+        out = np.empty(len(X))
+        for i, x in enumerate(X.tolist()):
+            node = self.root
+            while isinstance(node, Internal):
+                node = node.left if x[node.feature_id] <= node.threshold else node.right
+            out[i] = node.value
+        return out
 
     def depth(self) -> int:
         def d(node):
@@ -203,10 +192,6 @@ def fit_tree(
         )
 
     return RegressionTree(root=grow(X, y, 0), n_features=X.shape[1])
-
-
-def predict_tree(tree: RegressionTree, x) -> float:
-    return tree.predict(np.asarray(x, dtype=float))
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:

@@ -219,3 +219,49 @@ def bucket_means(rows, minutes):
         )
         for (day, index), totals in sorted(groups.items())
     ]
+
+
+# ---------------------------------------------------------------------------
+# train/test split, one sample at a time
+
+_SEASON_OF_MONTH = {
+    12: "winter", 1: "winter", 2: "winter",
+    3: "spring", 4: "spring", 5: "spring",
+    6: "summer", 7: "summer", 8: "summer",
+    9: "autumn", 10: "autumn", 11: "autumn",
+}
+
+
+def split_rows(stamps, strategy, train_fraction, season=None):
+    """(train, test) index lists over chronological datetimes: the selection
+    (one season, or all) is grouped by (year, month) for "monthly", by season
+    for "seasonal" (December joins the next year's winter) and into one group
+    otherwise; each group's first ceil(fraction * size) samples train."""
+
+    def key(ts):
+        if strategy == "monthly":
+            return (ts.year, ts.month)
+        if strategy == "seasonal":
+            year = ts.year + 1 if ts.month == 12 else ts.year
+            return (year, _SEASON_OF_MONTH[ts.month])
+        return 0
+
+    if strategy == "single_season":
+        selected = [
+            i for i, ts in enumerate(stamps) if _SEASON_OF_MONTH[ts.month] == season
+        ]
+    else:
+        selected = list(range(len(stamps)))
+    counts = {}
+    for i in selected:
+        counts[key(stamps[i])] = counts.get(key(stamps[i]), 0) + 1
+    take = {k: math.ceil(train_fraction * n) for k, n in counts.items()}
+
+    train, test = [], []
+    seen = {}
+    for i in selected:
+        k = key(stamps[i])
+        rank = seen.get(k, 0)
+        seen[k] = rank + 1
+        (train if rank < take[k] else test).append(i)
+    return train, test

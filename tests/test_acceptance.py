@@ -7,6 +7,7 @@ import math
 import random
 import time
 from datetime import date, datetime, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ import pytest
 from loadcast.blend import fit_weights, predict_blend_many
 from loadcast.ensembles import ForestConfig, GbtConfig, fit_forest, fit_gbt
 from loadcast.experiment import ExperimentConfig, run_experiment
-from loadcast.features import build_samples, extract_features, feature_names
+from loadcast.features import (
+    BASE_FEATURES,
+    SEASONS,
+    build_samples,
+    calendar_features,
+)
 from loadcast.metrics import compute_metrics
 from loadcast.readings import (
-    AggregatedRecord,
     Granularity,
     Readings,
     bucket_index_of,
@@ -222,11 +227,14 @@ def test_criterion_7_pipeline_correctness():
             assert bi == m // g and 0 <= bi < gran.buckets_per_day
 
     # all four split strategies
-    records = [
-        AggregatedRecord(base_ts + timedelta(days=i), 0, float(i))
-        for i in range(365)
-    ]
-    samples = build_samples(records)
+    samples = build_samples(
+        Readings(
+            np.datetime64(base_ts, "m") + np.arange(365) * np.timedelta64(1, "D"),
+            np.arange(365, dtype=float)[:, None],
+        )
+    )
+    stamps = samples.timestamps.tolist()
+    seasons = [SEASONS[int(v)] for v in samples.X[:, BASE_FEATURES.index("season")]]
     specs = [
         SplitSpec("ordered"),
         SplitSpec("monthly"),
@@ -235,40 +243,40 @@ def test_criterion_7_pipeline_correctness():
     ]
     for spec in specs:
         train, test = split(samples, spec)
+        train, test = train.tolist(), test.tolist()
         assert train and test
-        ids = {id(s) for s in train} | {id(s) for s in test}
+        ids = set(train) | set(test)
         assert len(ids) == len(train) + len(test)
         for part in (train, test):
-            stamps = [s.origin_timestamp for s in part]
-            assert stamps == sorted(stamps)
+            part_stamps = [stamps[i] for i in part]
+            assert part_stamps == sorted(part_stamps)
         if spec.strategy == "ordered":
-            assert max(s.origin_timestamp for s in train) < min(
-                s.origin_timestamp for s in test
-            )
+            assert max(stamps[i] for i in train) < min(stamps[i] for i in test)
         if spec.strategy == "single_season":
-            assert all(
-                s.features.season == "spring" for s in train + test
-            )
+            assert all(seasons[i] == "spring" for i in train + test)
         if spec.strategy == "monthly":
             groups = {}
-            for s in samples:
-                key = (s.origin_timestamp.year, s.origin_timestamp.month)
-                groups.setdefault(key, []).append(s)
-            train_ids = {id(s) for s in train}
+            for i, ts in enumerate(stamps):
+                groups.setdefault((ts.year, ts.month), []).append(i)
+            train_ids = set(train)
             for members in groups.values():
-                got = sum(1 for s in members if id(s) in train_ids)
+                got = sum(1 for i in members if i in train_ids)
                 assert got == math.ceil(0.8 * len(members))
 
     # calendar features vs independent reference on 1000 random timestamps
     py_rng = random.Random(7070)
+    dates, calendar_stamps = [], []
     for _ in range(1000):
         year = py_rng.randint(1996, 2032)  # spans several leap years
         month = py_rng.randint(1, 12)
         day = py_rng.randint(1, oracles.days_in_month(year, month))
         hour = py_rng.randint(0, 23)
         minute = py_rng.randint(0, 59)
-        ts = datetime(year, month, day, hour, minute)
-        fv = extract_features(AggregatedRecord(ts, 0, 1.0))
+        dates.append((year, month, day))
+        calendar_stamps.append(datetime(year, month, day, hour, minute))
+    rows = calendar_features(np.array(calendar_stamps, dtype="datetime64[m]"))
+    for (year, month, day), row in zip(dates, rows):
+        fv = SimpleNamespace(**dict(zip(BASE_FEATURES, row)))
         assert fv.day_of_week == oracles.weekday_monday0(year, month, day)
         assert fv.day_of_year == oracles.day_of_year(year, month, day)
         assert fv.week_of_year == oracles.iso_week(year, month, day)

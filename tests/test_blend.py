@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from loadcast.blend import (
-    EnsembleWeights,
-    fit_weights,
-    predict_blend,
-    predict_blend_many,
-)
+from loadcast.blend import EnsembleWeights, fit_weights, predict_blend_many
 from loadcast.errors import DataError
+
+
+def blend_one(weights, predictions):
+    """The blend of one prediction per model."""
+    one_row = {name: [p] for name, p in predictions.items()}
+    return predict_blend_many(weights, one_row)[0]
 
 
 def weights_from_rmses(rmses):
@@ -56,14 +57,14 @@ def test_blend_midpoint():
     w = EnsembleWeights(
         weights={"a": 0.5, "b": 0.5}, validation_rmse={"a": 1.0, "b": 1.0}
     )
-    assert predict_blend(w, {"a": 100.0, "b": 200.0}) == 150.0
+    assert blend_one(w, {"a": 100.0, "b": 200.0}) == 150.0
 
 
 def test_degenerate_weight_passthrough():
     w = EnsembleWeights(
         weights={"a": 1.0, "b": 0.0}, validation_rmse={"a": 0.0, "b": 9.0}
     )
-    assert predict_blend(w, {"a": 42.0, "b": -1e9}) == 42.0
+    assert blend_one(w, {"a": 42.0, "b": -1e9}) == 42.0
 
 
 def test_published_weight_combination():
@@ -71,7 +72,7 @@ def test_published_weight_combination():
         weights={"a": 0.48098, "b": 0.51902},
         validation_rmse={"a": 141.5, "b": 131.13},
     )
-    assert predict_blend(w, {"a": 100.0, "b": 200.0}) == pytest.approx(
+    assert blend_one(w, {"a": 100.0, "b": 200.0}) == pytest.approx(
         151.902, abs=1e-3
     )
 
@@ -79,7 +80,7 @@ def test_published_weight_combination():
 def test_arity_mismatch():
     w = EnsembleWeights(weights={"a": 1.0}, validation_rmse={"a": 1.0})
     with pytest.raises(DataError):
-        predict_blend(w, {"a": 1.0, "b": 2.0})
+        blend_one(w, {"a": 1.0, "b": 2.0})
 
 
 def test_normalization_and_nonnegativity():

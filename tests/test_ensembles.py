@@ -1,4 +1,5 @@
-import math
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from loadcast.ensembles import (
     fit_forest,
     fit_gbt,
     load_model,
-    predict_forest,
-    predict_gbt,
     _tree_rng,
 )
 from loadcast.errors import ConfigError
@@ -35,6 +34,10 @@ def leaf_tree(value):
     return RegressionTree(root=Leaf(value, 1), n_features=1)
 
 
+def predict_one(model, x):
+    return model.predict_many([x])[0]
+
+
 class TestForest:
     def test_degenerate_config_equals_single_tree(self):
         rng = np.random.default_rng(0)
@@ -51,7 +54,7 @@ class TestForest:
         forest = fit_forest(X, np.full(10, 4.5), ForestConfig(n_trees=5, seed=1))
         for tree in forest.trees:
             assert isinstance(tree.root, Leaf)
-        assert forest.predict([3.0]) == 4.5
+        assert predict_one(forest, [3.0]) == 4.5
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -67,13 +70,13 @@ class TestForest:
             trees=[leaf_tree(0.0), leaf_tree(10.0)],
             config=ForestConfig(n_trees=2),
         )
-        assert predict_forest(model, [1.0]) == 5.0
+        assert predict_one(model, [1.0]) == 5.0
 
     def test_fifteen_identical_trees(self):
         model = ForestModel(
             trees=[leaf_tree(7.0)] * 15, config=ForestConfig(n_trees=15)
         )
-        assert model.predict([0.0]) == 7.0
+        assert predict_one(model, [0.0]) == 7.0
 
     def test_forest_mean_identity(self):
         rng = np.random.default_rng(2)
@@ -127,7 +130,7 @@ class TestGbt:
         for tree in model.trees:
             assert isinstance(tree.root, Leaf)
             assert tree.root.value == 0.0
-        assert model.predict([2.0]) == 3.0
+        assert predict_one(model, [2.0]) == 3.0
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ConfigError):
@@ -139,8 +142,8 @@ class TestGbt:
         config = GbtConfig(n_rounds=1, shrinkage=0.1)
         model = fit_gbt(X, y, config)
         x = X[0]
-        expected = model.base_score + 0.1 * model.trees[0].predict(x)
-        assert predict_gbt(model, x) == pytest.approx(expected, abs=1e-12)
+        expected = model.base_score + 0.1 * predict_one(model.trees[0], x)
+        assert predict_one(model, x) == pytest.approx(expected, abs=1e-12)
 
     def test_model_length_is_exact_round_count(self):
         X = np.arange(8, dtype=float).reshape(-1, 1)
@@ -149,14 +152,14 @@ class TestGbt:
 
     def test_empty_stage_list_predicts_base(self):
         model = GbtModel(base_score=5.0, trees=[], config=GbtConfig())
-        assert model.predict([0.0]) == 5.0
+        assert predict_one(model, [0.0]) == 5.0
 
     def test_manual_stage_arithmetic(self):
         config = GbtConfig(n_rounds=2, shrinkage=0.5)
         model = GbtModel(
             base_score=5.0, trees=[leaf_tree(-5.0), leaf_tree(2.0)], config=config
         )
-        assert model.predict([0.0]) == pytest.approx(5 + 0.5 * (-3.0))
+        assert predict_one(model, [0.0]) == pytest.approx(5 + 0.5 * (-3.0))
 
     def test_training_sse_monotone(self):
         rng = np.random.default_rng(4)
@@ -207,3 +210,36 @@ class TestSerialization:
             restored.predict_many(probe), model.predict_many(probe)
         )
         assert dump_model(restored) == dump_model(model)
+        # a gbt.json written without the GBT seed loads with the default seed
+        doc = json.loads(dump_model(model))
+        del doc["config"]["seed"]
+        assert load_model(json.dumps(doc)).config == model.config
+
+    def test_config_blocks_are_the_dataclass_fields(self):
+        rng = np.random.default_rng(8)
+        X, y = random_dataset(rng)
+        tree = TreeConfig(max_depth=3, min_samples_split=4, gain_mode="absolute")
+        forest = fit_forest(X, y, ForestConfig(n_trees=2, tree=tree, seed=9))
+        gbt = fit_gbt(X, y, GbtConfig(n_rounds=2, tree=tree, seed=4))
+        for model in (forest, gbt):
+            doc = json.loads(dump_model(model))
+            assert doc["config"] == dataclasses.asdict(model.config)
+            assert load_model(dump_model(model)).config == model.config
+
+
+class TestOneRowPredict:
+    def test_equals_scalar_definitions_bit_for_bit(self):
+        # the forest mean of one row is np.mean over its trees' values and the
+        # boosted sum adds shrunken tree values to the base score in order
+        rng = np.random.default_rng(9)
+        X, y = random_dataset(rng, n=80, p=3)
+        forest = fit_forest(X, y, ForestConfig(n_trees=15, seed=3))
+        gbt = fit_gbt(X, y, GbtConfig(n_rounds=20))
+        for row in rng.uniform(-6, 6, (200, 3)):
+            got = forest.predict(row)
+            assert isinstance(got, float)
+            assert got == float(np.mean([predict_one(t, row) for t in forest.trees]))
+            expected = gbt.base_score
+            for t in gbt.trees:
+                expected += gbt.config.shrinkage * predict_one(t, row)
+            assert gbt.predict(row) == expected

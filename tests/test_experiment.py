@@ -251,6 +251,22 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "UTC offset at row 3" in proc.stderr
 
+    def test_defaults_come_from_the_dataclasses(self, tmp_path):
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(days=40, meters=1, seed=2), data)
+        out = tmp_path / "run"
+        assert main(["run", "--input", str(data), "--out-dir", str(out)]) == 0
+        written = json.loads((out / "run_config.json").read_text())
+        default = ExperimentConfig(input_path=str(data), out_dir=str(out))
+        assert written == json.loads(json.dumps(default.as_dict()))
+
+    def test_synth_defaults_come_from_the_spec(self, tmp_path):
+        one_day = dataclasses.replace(SyntheticSpec(), days=1)
+        expected = generate_synthetic(one_day, tmp_path / "expected.csv")
+        got = tmp_path / "got.csv"
+        assert main(["synth", "--days", "1", "--out", str(got)]) == 0
+        assert got.read_bytes() == expected.read_bytes()
+
     def test_data_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path)]) == 3
@@ -302,3 +318,60 @@ class TestCli:
         monkeypatch.setenv("LOADCAST_OUT_DIR", str(tmp_path))
         assert main(["synth", "--days", "1", "--seed", "0"]) == 0
         assert (tmp_path / "synthetic.csv").exists()
+
+
+def _error_case(name, tmp_path):
+    """CLI arguments of a failing command, built in tmp_path."""
+    good = tmp_path / "good.csv"
+    good.write_text("timestamp,a\n2015-01-01T00:00,1\n")
+    if name == "out-dir-under-file":
+        # the input does not exist either: exit 2 shows the directory is
+        # checked before the input is read
+        (tmp_path / "afile").write_text("")
+        return ["run", "--input", str(tmp_path / "absent.csv"),
+                "--out-dir", str(tmp_path / "afile" / "sub")]
+    if name == "week-garbage-timestamp":
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(",".join(PREDICTION_COLUMNS) + "\ngarbage,1,1,1,1\n")
+        return ["week", "--predictions", str(preds), "--anchor", "2015-01-01",
+                "--out", str(tmp_path / "w.csv")]
+    if name == "input-is-directory":
+        return ["run", "--input", str(tmp_path), "--out-dir", str(tmp_path / "o")]
+    if name == "input-not-utf8":
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,a\n2015-01-01T00:00,\xff\n")
+        return ["run", "--input", str(bad), "--out-dir", str(tmp_path / "o")]
+    if name == "synth-out-in-missing-dir":
+        return ["synth", "--days", "1", "--out", str(tmp_path / "nodir" / "x.csv")]
+    if name == "synth-bad-start":
+        return ["synth", "--days", "1", "--start", "2015-13-01",
+                "--out", str(tmp_path / "x.csv")]
+    reports = tmp_path / "reports.json"
+    if name == "compare-report-missing-fields":
+        reports.write_text('{"m": {"mae": 1}}')
+    elif name == "compare-report-not-object":
+        reports.write_text("[1,2]")
+    return ["compare", str(reports)]
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("out-dir-under-file", 2),
+        ("week-garbage-timestamp", 3),
+        ("input-is-directory", 3),
+        ("input-not-utf8", 3),
+        ("synth-out-in-missing-dir", 2),
+        ("synth-bad-start", 2),
+        ("compare-report-missing-fields", 3),
+        ("compare-report-not-object", 3),
+    ],
+)
+def test_failure_exit_codes_without_traceback(tmp_path, name, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(loadcast.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loadcast.cli", *_error_case(name, tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,28 +1,50 @@
 import random
 from datetime import datetime, timedelta
+from types import SimpleNamespace
+
+import numpy as np
 
 from loadcast.features import (
     BASE_FEATURES,
     SEASONS,
     build_samples,
+    calendar_features,
     default_lag_offsets,
-    extract_features,
-    feature_matrix,
     feature_names,
     season_of_month,
     season_year,
 )
-from loadcast.readings import AggregatedRecord, Granularity
+from loadcast.readings import Granularity, Readings
 
 import oracles
 
 
-def record(ts, target=1.0):
-    return AggregatedRecord(ts, (ts.hour * 60 + ts.minute) // 60, target)
+def buckets(stamps, targets):
+    return Readings(
+        np.array(stamps, dtype="datetime64[m]"),
+        np.array(targets, dtype=float)[:, None],
+    )
+
+
+def calendar_rows(stamps):
+    """calendar_features of each timestamp as a namespace of named fields,
+    with season as its name and is_weekend as a bool."""
+    rows = calendar_features(np.array(stamps, dtype="datetime64[m]"))
+    out = []
+    for row in rows:
+        fields = {name: int(v) for name, v in zip(BASE_FEATURES, row)}
+        fields["season"] = SEASONS[fields["season"]]
+        fields["is_weekend"] = bool(fields["is_weekend"])
+        out.append(SimpleNamespace(**fields))
+    return out
+
+
+def features_of(ts):
+    return calendar_rows([ts])[0]
 
 
 def test_summer_sunday_afternoon():
-    fv = extract_features(record(datetime(2015, 6, 21, 14, 31)))
+    fv = features_of(datetime(2015, 6, 21, 14, 31))
     assert fv.year == 2015
     assert fv.month == 6
     assert fv.day_of_year == 172
@@ -35,7 +57,7 @@ def test_summer_sunday_afternoon():
 
 
 def test_new_year_boundary():
-    fv = extract_features(record(datetime(2015, 1, 1, 0, 0)))
+    fv = features_of(datetime(2015, 1, 1, 0, 0))
     assert fv.month == 1
     assert fv.day_of_month == 1
     assert fv.hour == 0
@@ -44,7 +66,7 @@ def test_new_year_boundary():
 
 
 def test_saturday_is_weekend():
-    fv = extract_features(record(datetime(2015, 3, 7, 9, 0)))  # a Saturday
+    fv = features_of(datetime(2015, 3, 7, 9, 0))  # a Saturday
     assert fv.day_of_week == 5
     assert fv.is_weekend is True
 
@@ -67,14 +89,17 @@ def test_december_belongs_to_next_winter():
 
 def test_calendar_against_independent_oracle():
     rng = random.Random(42)
+    stamps = []
     for _ in range(1200):
         year = rng.randint(2000, 2030)  # mixes leap and non-leap years
         month = rng.randint(1, 12)
         day = rng.randint(1, oracles.days_in_month(year, month))
         hour = rng.randint(0, 23)
         minute = rng.randint(0, 59)
-        ts = datetime(year, month, day, hour, minute)
-        fv = extract_features(record(ts))
+        stamps.append(datetime(year, month, day, hour, minute))
+    for ts, fv in zip(stamps, calendar_rows(stamps)):
+        year, month, day = ts.year, ts.month, ts.day
+        hour, minute = ts.hour, ts.minute
         assert fv.day_of_week == oracles.weekday_monday0(year, month, day)
         assert fv.day_of_year == oracles.day_of_year(year, month, day)
         assert fv.week_of_year == oracles.iso_week(year, month, day)
@@ -90,12 +115,9 @@ def test_feature_names_and_matrix_shape():
     names = feature_names((1, 2, 24))
     assert names[-3:] == ["lag_1", "lag_2", "lag_24"]
 
-    records = [
-        record(datetime(2015, 1, 1) + timedelta(hours=i), target=float(i))
-        for i in range(10)
-    ]
-    samples = build_samples(records, lag_offsets=(1, 2, 24))
-    X = feature_matrix(samples)
+    stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(10)]
+    samples = build_samples(buckets(stamps, range(10)), lag_offsets=(1, 2, 24))
+    X = samples.X
     assert X.shape == (10, len(names))
 
 
@@ -105,18 +127,46 @@ def test_default_lag_offsets():
 
 
 def test_lags_from_history():
-    records = [
-        record(datetime(2015, 1, 1) + timedelta(hours=i), target=10.0 + i)
-        for i in range(6)
-    ]
-    samples = build_samples(records, lag_offsets=(1, 3))
+    stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(6)]
+    samples = build_samples(buckets(stamps, [10.0 + i for i in range(6)]), (1, 3))
+    lags = [tuple(row[-2:].tolist()) for row in samples.X]
     # first sample has no history: falls back to its own (earliest) target
-    assert samples[0].features.lags == (10.0, 10.0)
+    assert lags[0] == (10.0, 10.0)
     # offset 3 before history start uses the earliest known target
-    assert samples[2].features.lags == (11.0, 10.0)
-    assert samples[5].features.lags == (14.0, 12.0)
+    assert lags[2] == (11.0, 10.0)
+    assert lags[5] == (14.0, 12.0)
 
 
 def test_season_encoding_round_trip():
     for s in SEASONS:
         assert SEASONS[SEASONS.index(s)] == s
+
+
+def test_calendar_matches_datetime_on_every_day_1960_to_2040():
+    # crosses 1970, so negative day numbers are covered
+    first = datetime(1960, 1, 1)
+    days = (datetime(2041, 1, 1) - first).days
+    stamps = [first + timedelta(days=i, minutes=(37 * i) % 1440) for i in range(days)]
+    for ts, fv in zip(stamps, calendar_rows(stamps)):
+        assert fv.year == ts.year
+        assert fv.month == ts.month
+        assert fv.week_of_year == ts.isocalendar()[1]
+        assert fv.day_of_year == ts.timetuple().tm_yday
+        assert fv.day_of_month == ts.day
+        assert fv.day_of_week == ts.weekday()
+        assert fv.hour == ts.hour
+        assert fv.half_hour == (ts.hour * 60 + ts.minute) // 30
+        assert fv.season == season_of_month(ts.month)
+        assert fv.is_weekend == (ts.weekday() >= 5)
+        assert fv.day_of_week == oracles.weekday_monday0(ts.year, ts.month, ts.day)
+        assert fv.week_of_year == oracles.iso_week(ts.year, ts.month, ts.day)
+
+
+def test_samples_carry_bucket_starts_and_targets():
+    stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(4)]
+    samples = build_samples(buckets(stamps, [5.0, 6.0, 7.0, 8.0]))
+    assert len(samples) == 4
+    assert samples.timestamps.dtype == np.dtype("datetime64[m]")
+    assert samples.timestamps.tolist() == stamps
+    assert samples.y.tolist() == [5.0, 6.0, 7.0, 8.0]
+    assert samples.X.shape == (4, len(BASE_FEATURES))

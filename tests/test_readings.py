@@ -13,6 +13,7 @@ from loadcast.readings import (
 )
 
 from datetime import datetime, timedelta
+from types import SimpleNamespace
 
 import oracles
 
@@ -322,11 +323,24 @@ class TestInterpolate:
                 assert min(anchors) - 1e-12 <= once.values[i, 0] <= max(anchors) + 1e-12
 
 
+def bucket_records(readings, granularity):
+    """aggregate's output as one (bucket_start, bucket_index, target)
+    namespace per bucket."""
+    buckets = aggregate(readings, granularity)
+    assert buckets.values.shape == (len(buckets), 1)
+    starts = buckets.timestamps.tolist()
+    indices = bucket_index_of(buckets.timestamps, granularity).tolist()
+    return [
+        SimpleNamespace(bucket_start=start, bucket_index=index, target=target)
+        for start, index, target in zip(starts, indices, buckets.values[:, 0].tolist())
+    ]
+
+
 class TestAggregate:
     def test_constant_hour(self):
         start = datetime(2015, 1, 1, 10, 0)
         readings = readings_of(minutes(start, 60), [(5.0,)] * 60)
-        records = aggregate(readings, Granularity(60))
+        records = bucket_records(readings, Granularity(60))
         assert len(records) == 1
         assert records[0].bucket_index == 10
         assert records[0].target == 5.0
@@ -334,13 +348,13 @@ class TestAggregate:
 
     def test_index_formula(self):
         readings = readings_of([datetime(2015, 1, 1, 10, 30)], [(1.0,)])
-        records = aggregate(readings, Granularity(60))
+        records = bucket_records(readings, Granularity(60))
         assert records[0].bucket_index == 10  # floor(630 / 60)
 
     def test_sum_across_meters(self):
         start = datetime(2015, 1, 1)
         readings = readings_of(minutes(start, 1440), [(2.0, 3.0)] * 1440)
-        records = aggregate(readings, Granularity(1440))
+        records = bucket_records(readings, Granularity(1440))
         assert len(records) == 1
         assert records[0].bucket_index == 0
         assert records[0].target == pytest.approx(5.0)
@@ -355,14 +369,14 @@ class TestAggregate:
         readings = readings_of(
             minutes(start, 3 * 1440), [(float(i),) for i in range(3 * 1440)]
         )
-        records = aggregate(readings, Granularity(60))
+        records = bucket_records(readings, Granularity(60))
         starts = [r.bucket_start for r in records]
         assert starts == sorted(starts)
         assert len(records) == 72
 
     def test_empty(self):
         empty = parse_readings("timestamp,a\n")
-        assert aggregate(interpolate_nulls(empty), Granularity(60)) == []
+        assert bucket_records(interpolate_nulls(empty), Granularity(60)) == []
 
 
 def _gappy_csv(seed):
@@ -398,7 +412,7 @@ class TestAgainstRowOracle:
 
             readings = parse_readings(text)
             filled = interpolate_nulls(readings)
-            records = aggregate(filled, Granularity(g))
+            records = bucket_records(filled, Granularity(g))
 
             nulls = [[np.nan if v is None else v for v in vals] for _, vals in rows]
             assert np.array_equal(bits(readings.values), bits(nulls))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loadcast.errors import ConfigError, SchemaError
-from loadcast.scaling import Scaler, apply_scaler, fit_scaler
+from loadcast.scaling import Scaler, fit_scaler
 
 
 def col(values):
@@ -21,7 +21,7 @@ def test_maxabs_fit_stats():
 
 def test_minmax_transform():
     s = fit_scaler(col([0, 5, 10]), ["a"], "minmax")
-    out = apply_scaler(s, col([0, 5, 10]))
+    out = s.transform(col([0, 5, 10]))
     assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 

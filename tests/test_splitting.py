@@ -2,80 +2,88 @@ import math
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadcast.errors import ConfigError, DataError
-from loadcast.features import build_samples
-from loadcast.readings import AggregatedRecord
+from loadcast.features import SEASONS, build_samples
+from loadcast.readings import Readings
 from loadcast.splitting import SplitSpec, split
 
-
-def hourly_samples(start, count, step_hours=1):
-    records = [
-        AggregatedRecord(start + timedelta(hours=i * step_hours), 0, float(i))
-        for i in range(count)
-    ]
-    return build_samples(records)
+import oracles
 
 
-def daily_samples(start, count):
-    records = [
-        AggregatedRecord(start + timedelta(days=i), 0, float(i))
-        for i in range(count)
-    ]
-    return build_samples(records)
+def samples_at(stamps):
+    return build_samples(
+        Readings(
+            np.array(stamps, dtype="datetime64[m]"),
+            np.arange(len(stamps), dtype=float)[:, None],
+        )
+    )
+
+
+def hourly_stamps(start, count, step_hours=1):
+    return [start + timedelta(hours=i * step_hours) for i in range(count)]
+
+
+def daily_stamps(start, count):
+    return [start + timedelta(days=i) for i in range(count)]
+
+
+def stamps_of(samples, indices):
+    return samples.timestamps[indices].tolist()
 
 
 def test_ordered_80_20():
-    samples = hourly_samples(datetime(2015, 1, 1), 100)
+    samples = samples_at(hourly_stamps(datetime(2015, 1, 1), 100))
     train, test = split(samples, SplitSpec("ordered", train_fraction=0.8))
     assert len(train) == 80 and len(test) == 20
-    assert train == samples[:80]
-    assert test == samples[80:]
+    assert train.tolist() == list(range(80))
+    assert test.tolist() == list(range(80, 100))
 
 
 def test_ordered_boundary():
-    samples = hourly_samples(datetime(2015, 1, 1), 100)
+    samples = samples_at(hourly_stamps(datetime(2015, 1, 1), 100))
     train, test = split(samples, SplitSpec("ordered", train_fraction=0.8))
-    assert max(s.origin_timestamp for s in train) < min(
-        s.origin_timestamp for s in test
-    )
+    assert max(stamps_of(samples, train)) < min(stamps_of(samples, test))
 
 
 def test_monthly_per_group_tail():
-    jan = daily_samples(datetime(2015, 1, 1), 10)
-    feb = daily_samples(datetime(2015, 2, 1), 10)
-    samples = jan + feb
+    jan = daily_stamps(datetime(2015, 1, 1), 10)
+    feb = daily_stamps(datetime(2015, 2, 1), 10)
+    samples = samples_at(jan + feb)
     train, test = split(samples, SplitSpec("monthly", train_fraction=0.8))
     assert len(train) == 16 and len(test) == 4
-    assert test == jan[8:] + feb[8:]
+    assert stamps_of(samples, test) == jan[8:] + feb[8:]
 
 
 def test_single_season_filter():
-    samples = daily_samples(datetime(2015, 1, 1), 365)
+    samples = samples_at(daily_stamps(datetime(2015, 1, 1), 365))
     train, test = split(
         samples, SplitSpec("single_season", season="spring", train_fraction=0.8)
     )
-    for s in train + test:
-        assert s.origin_timestamp.month in (3, 4, 5)
+    for ts in stamps_of(samples, np.concatenate([train, test])):
+        assert ts.month in (3, 4, 5)
     assert len(train) + len(test) == sum(
-        1 for s in samples if s.origin_timestamp.month in (3, 4, 5)
+        1 for ts in samples.timestamps.tolist() if ts.month in (3, 4, 5)
     )
 
 
 def test_single_season_empty_selection():
-    samples = daily_samples(datetime(2015, 1, 5), 20)  # January only
+    samples = samples_at(daily_stamps(datetime(2015, 1, 5), 20))  # January only
     with pytest.raises(DataError, match="empty selection"):
         split(samples, SplitSpec("single_season", season="summer"))
 
 
 def test_seasonal_december_rolls_into_next_winter():
-    dec = daily_samples(datetime(2015, 12, 1), 10)
-    jan = daily_samples(datetime(2016, 1, 1), 10)
-    train, test = split(dec + jan, SplitSpec("seasonal", train_fraction=0.8))
+    dec = daily_stamps(datetime(2015, 12, 1), 10)
+    jan = daily_stamps(datetime(2016, 1, 1), 10)
+    samples = samples_at(dec + jan)
+    train, test = split(samples, SplitSpec("seasonal", train_fraction=0.8))
     # one winter group of 20: first 16 train, last 4 test
     assert len(train) == 16 and len(test) == 4
-    assert test == jan[6:]
+    assert stamps_of(samples, test) == jan[6:]
 
 
 def test_bad_specs():
@@ -94,22 +102,63 @@ def test_partition_properties_randomized():
     base = datetime(2015, 1, 1)
     for _ in range(40):
         count = rng.randint(10, 500)
-        samples = hourly_samples(base, count, step_hours=rng.choice([1, 6, 24]))
+        stamps = hourly_stamps(base, count, step_hours=rng.choice([1, 6, 24]))
+        samples = samples_at(stamps)
         frac = rng.choice([0.5, 0.7, 0.8, 0.9])
         strategy = rng.choice(["ordered", "monthly", "seasonal"])
         train, test = split(samples, SplitSpec(strategy, train_fraction=frac))
         assert len(train) + len(test) == len(samples)
-        ids = {id(s) for s in train} | {id(s) for s in test}
+        ids = set(train.tolist()) | set(test.tolist())
         assert len(ids) == len(samples)
         for part in (train, test):
-            stamps = [s.origin_timestamp for s in part]
-            assert stamps == sorted(stamps)
+            part_stamps = stamps_of(samples, part)
+            assert part_stamps == sorted(part_stamps)
         if strategy == "monthly":
             by_month = {}
-            for s in samples:
-                key = (s.origin_timestamp.year, s.origin_timestamp.month)
-                by_month.setdefault(key, []).append(s)
-            train_ids = {id(s) for s in train}
+            for i, ts in enumerate(stamps):
+                by_month.setdefault((ts.year, ts.month), []).append(i)
+            train_ids = set(train.tolist())
             for key, members in by_month.items():
-                got = sum(1 for s in members if id(s) in train_ids)
+                got = sum(1 for i in members if i in train_ids)
                 assert got == math.ceil(frac * len(members))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    start=st.datetimes(datetime(1995, 1, 1), datetime(2030, 12, 31)),
+    count=st.integers(1, 400),
+    step_minutes=st.sampled_from((1, 30, 60, 360, 1440, 1440 * 7)),
+    strategy=st.sampled_from(("ordered", "seasonal", "monthly", "single_season")),
+    season=st.sampled_from(SEASONS),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_index_split_equals_per_sample_oracle(
+    start, count, step_minutes, strategy, season, fraction
+):
+    start = start.replace(second=0, microsecond=0)
+    stamps = [start + timedelta(minutes=i * step_minutes) for i in range(count)]
+    season = season if strategy == "single_season" else None
+    spec = SplitSpec(strategy, season=season, train_fraction=fraction)
+    train, test = oracles.split_rows(stamps, strategy, fraction, season)
+    if not train + test:
+        with pytest.raises(DataError, match="empty selection"):
+            split(samples_at(stamps), spec)
+        return
+    got_train, got_test = split(samples_at(stamps), spec)
+    assert got_train.tolist() == train
+    assert got_test.tolist() == test
+
+
+def test_index_split_crosses_december_and_year_ends():
+    # daily samples over three winters: every seasonal group spans a year end
+    stamps = daily_stamps(datetime(2014, 11, 20), 800)
+    samples = samples_at(stamps)
+    for strategy in ("ordered", "seasonal", "monthly"):
+        for fraction in (0.1, 0.5, 0.8, 0.95):
+            got = split(samples, SplitSpec(strategy, train_fraction=fraction))
+            expected = oracles.split_rows(stamps, strategy, fraction)
+            assert [g.tolist() for g in got] == list(expected)
+    for season in SEASONS:
+        got = split(samples, SplitSpec("single_season", season=season))
+        expected = oracles.split_rows(stamps, "single_season", 0.8, season)
+        assert [g.tolist() for g in got] == list(expected)

@@ -11,13 +11,16 @@ from loadcast.tree import (
     dump_tree,
     fit_tree,
     load_tree,
-    predict_tree,
 )
 
 import oracles
 
 FOUR_POINT_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 FOUR_POINT_Y = np.array([0.0, 0.0, 10.0, 10.0])
+
+
+def predict_one(tree, x):
+    return tree.predict_many([x])[0]
 
 
 class TestBestSplit:
@@ -81,8 +84,8 @@ class TestFitTree:
     def test_two_leaf_tree(self):
         tree = fit_tree(FOUR_POINT_X, FOUR_POINT_Y, TreeConfig())
         assert tree.depth() == 1
-        assert predict_tree(tree, [0.0]) == 0.0
-        assert predict_tree(tree, [3.0]) == 10.0
+        assert predict_one(tree, [0.0]) == 0.0
+        assert predict_one(tree, [3.0]) == 10.0
         pred = tree.predict_many(FOUR_POINT_X)
         np.testing.assert_array_equal(pred, FOUR_POINT_Y)
 
@@ -157,25 +160,40 @@ class TestFitTree:
 class TestPredict:
     def test_single_leaf(self):
         tree = RegressionTree(root=Leaf(7.0, 1), n_features=3)
-        assert tree.predict([0.0, 1.0, 2.0]) == 7.0
+        assert predict_one(tree, [0.0, 1.0, 2.0]) == 7.0
 
     def test_threshold_boundary_goes_left(self):
         tree = fit_tree(FOUR_POINT_X, FOUR_POINT_Y, TreeConfig())
-        assert predict_tree(tree, [1.5]) == 0.0
+        assert predict_one(tree, [1.5]) == 0.0
 
     def test_identical_routing_identical_prediction(self):
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 1, (50, 2))
         y = rng.normal(0, 1, 50)
         tree = fit_tree(X, y, TreeConfig(max_depth=3, min_gain=0.0))
-        a = tree.predict([0.2, 0.2])
-        b = tree.predict([0.2, 0.2])
+        a = predict_one(tree, [0.2, 0.2])
+        b = predict_one(tree, [0.2, 0.2])
         assert a == b
 
     def test_schema_mismatch(self):
         tree = fit_tree(FOUR_POINT_X, FOUR_POINT_Y, TreeConfig())
         with pytest.raises(SchemaError):
-            tree.predict([1.0, 2.0])
+            predict_one(tree, [1.0, 2.0])
+        with pytest.raises(SchemaError):
+            tree.predict_many([1.0])  # one row must still be a 2-D array
+
+    def test_rows_walk_like_the_nodes(self):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0, 1, (120, 3))
+        tree = fit_tree(X, rng.normal(0, 1, 120), TreeConfig(max_depth=6, min_gain=0.0))
+        probe = np.vstack([X[:40], rng.uniform(-0.5, 1.5, (40, 3))])
+        for row, got in zip(probe, tree.predict_many(probe)):
+            node = tree.root
+            while isinstance(node, Internal):
+                go_left = row[node.feature_id] <= node.threshold
+                node = node.left if go_left else node.right
+            assert got == node.value
+        assert tree.predict_many(np.empty((0, 3))).shape == (0,)
 
 
 class TestConfig:
