@@ -41,11 +41,16 @@ class ForestModel:
     config: ForestConfig
 
     def predict(self, x) -> float:
-        """One row; the recursive lag evaluation predicts row by row."""
+        """One row; equal, bit for bit, to its entry in a batch."""
         return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        return np.mean([t.predict_many(X) for t in self.trees], axis=0)
+        # trees added in order, then divided: np.mean would sum the trees of a
+        # single row pairwise and give other bits than the same row in a batch
+        total = self.trees[0].predict_many(X)
+        for t in self.trees[1:]:
+            total = total + t.predict_many(X)
+        return total / len(self.trees)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class GbtModel:
     config: GbtConfig
 
     def predict(self, x) -> float:
-        """One row; the recursive lag evaluation predicts row by row."""
+        """One row; equal, bit for bit, to its entry in a batch."""
         return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:

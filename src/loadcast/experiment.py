@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -43,7 +43,7 @@ class ExperimentConfig:
     split: SplitSpec = field(default_factory=lambda: SplitSpec("monthly"))
     scaler: Optional[str] = "minmax"  # "minmax", "maxabs", or None
     lags: bool = False
-    lag_offsets: Optional[tuple] = None
+    lag_offsets: Optional[tuple] = None  # None with lags: the day-ahead defaults
     forest: ForestConfig = field(default_factory=ForestConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
     validation_fraction: float = 0.1
@@ -52,7 +52,7 @@ class ExperimentConfig:
     def __post_init__(self):
         self.input_path = Path(self.input_path)
         self.out_dir = Path(self.out_dir)
-        Granularity(self.granularity)  # reject bad granularity before any work
+        granularity = Granularity(self.granularity)  # rejects a bad one before any work
         if not 0.0 < self.validation_fraction < 0.5:
             raise ConfigError(
                 "validation_fraction must be in (0, 0.5), "
@@ -60,17 +60,26 @@ class ExperimentConfig:
             )
         if self.scaler is not None and self.scaler not in ("minmax", "maxabs"):
             raise ConfigError(f"unknown scaler {self.scaler!r}")
-        if self.lag_offsets is not None and min(self.lag_offsets, default=1) < 1:
-            # lag k reads the target k buckets back; k < 1 is not in the past
+        if self.lag_offsets and not self.lags:
             raise ConfigError(
-                f"lag offsets must be >= 1, got {list(self.lag_offsets)}"
+                f"lag offsets {list(self.lag_offsets)} given, but lags are off"
             )
+        # validation and test rows read observed lags, so a lagged run
+        # forecasts min(lag_offsets) buckets ahead
+        offsets = ()
+        if self.lags:
+            offsets = tuple(self.lag_offsets or default_lag_offsets(granularity))
+        if min(offsets, default=1) < 1:
+            # lag k reads the target k buckets back; k < 1 is not in the past
+            raise ConfigError(f"lag offsets must be >= 1, got {list(offsets)}")
+        if len(set(offsets)) < len(offsets):
+            raise ConfigError(f"lag offsets must not repeat, got {list(offsets)}")
+        self.lag_offsets = offsets or None
 
     def as_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["input_path"] = str(self.input_path)
         doc["out_dir"] = str(self.out_dir)
-        doc["lag_offsets"] = self.lag_offsets or None  # () is written as null
         return doc
 
 
@@ -92,10 +101,7 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     granularity = Granularity(config.granularity)
-    lag_offsets = None
-    if config.lags:
-        lag_offsets = tuple(config.lag_offsets or default_lag_offsets(granularity))
-    names = feature_names(lag_offsets)
+    names = feature_names(config.lag_offsets)
 
     def make_out_dir():
         try:
@@ -116,7 +122,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     readings = _stage("parse", parse_readings, text)
     readings = _stage("interpolate", interpolate_nulls, readings)
     buckets = _stage("aggregate", aggregate, readings, granularity)
-    samples = _stage("features", build_samples, buckets, lag_offsets)
+    samples = _stage("features", build_samples, buckets, config.lag_offsets)
     train, test = _stage("split", split, samples, config.split)
     if len(test) == 0:
         raise DataError("[split] empty test set")
@@ -140,26 +146,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     forest = _stage("train-forest", fit_forest, X_core, y_core, config.forest)
     gbt = _stage("train-gbt", fit_gbt, X_core, y_core, config.gbt)
 
-    if config.lags:
-        holdout = np.concatenate([validation, test])
-        predict = lambda model, subset: _predict_recursive(
-            model, subset, samples, lag_offsets, scaler, holdout
-        )
-        val_rf = predict(forest, validation)
-        val_gbt = predict(gbt, validation)
-    else:
-        val_rf = forest.predict_many(X_val)
-        val_gbt = gbt.predict_many(X_val)
+    val_rf = forest.predict_many(X_val)
+    val_gbt = gbt.predict_many(X_val)
     weights = _stage(
         "blend", fit_weights, {MODEL_RF: val_rf, MODEL_GBT: val_gbt}, y_val
     )
 
-    if config.lags:
-        pred_rf = predict(forest, test)
-        pred_gbt = predict(gbt, test)
-    else:
-        pred_rf = forest.predict_many(X_test)
-        pred_gbt = gbt.predict_many(X_test)
+    pred_rf = forest.predict_many(X_test)
+    pred_gbt = gbt.predict_many(X_test)
     pred_blend = predict_blend_many(
         weights, {MODEL_RF: pred_rf, MODEL_GBT: pred_gbt}
     )
@@ -205,41 +199,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _predict_recursive(model, subset, samples, lag_offsets, scaler, holdout):
-    """Chronological one-step-ahead prediction of the samples at the
-    increasing indices `subset`, where the model's own earlier predictions
-    fill the lag slots of the held-out indices `holdout`."""
-    values = samples.y.copy()
-    values[holdout] = np.nan
-
-    preds = np.empty(len(subset))
-    n_base = samples.X.shape[1] - len(lag_offsets)
-    for i, pos in enumerate(subset):
-        row = samples.X[pos].copy()
-        for li, k in enumerate(lag_offsets):
-            v = values[max(pos - k, 0)]
-            if math.isnan(v):
-                # earlier held-out bucket not in this prediction pass
-                v = _nearest_known(values, pos)
-            row[n_base + li] = v
-        if scaler is not None:
-            row = scaler.transform(row[None, :])[0]
-        p = model.predict(row)
-        preds[i] = p
-        values[pos] = p
-    return preds
-
-
-def _nearest_known(values, pos):
-    for j in range(pos - 1, -1, -1):
-        if not math.isnan(values[j]):
-            return values[j]
-    for j in range(pos + 1, len(values)):
-        if not math.isnan(values[j]):
-            return values[j]
-    raise InvariantError("no known target available for lag fill")
-
-
 def _format_float(v: float) -> str:
     return repr(float(v))
 
@@ -258,45 +217,45 @@ def _write_outputs(
     reports,
     table,
 ):
-    out = config.out_dir
-    files = {}
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(PREDICTION_COLUMNS)
+    stamps = np.datetime_as_string(test_timestamps, unit="m")
+    for t, a, r, g, b in zip(stamps, y_test, pred_rf, pred_gbt, pred_blend):
+        writer.writerow(
+            [
+                t,
+                _format_float(a),
+                _format_float(r),
+                _format_float(g),
+                _format_float(b),
+            ]
+        )
 
-    pred_path = out / "predictions.csv"
-    with pred_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        stamps = np.datetime_as_string(test_timestamps, unit="m")
-        for t, a, r, g, b in zip(stamps, y_test, pred_rf, pred_gbt, pred_blend):
-            writer.writerow(
-                [
-                    t,
-                    _format_float(a),
-                    _format_float(r),
-                    _format_float(g),
-                    _format_float(b),
-                ]
-            )
-    files["predictions"] = pred_path
-
-    files["metrics_csv"] = out / "metrics.csv"
-    files["metrics_csv"].write_text(table.to_csv())
-    files["metrics_txt"] = out / "metrics.txt"
-    files["metrics_txt"].write_text(table.to_text())
-    files["reports"] = out / "reports.json"
-    files["reports"].write_text(
-        json.dumps({k: v.as_dict() for k, v in reports.items()}, sort_keys=True)
-    )
-    files["forest"] = out / "forest.json"
-    files["forest"].write_text(dump_model(forest))
-    files["gbt"] = out / "gbt.json"
-    files["gbt"].write_text(dump_model(gbt))
-    files["weights"] = out / "blend_weights.json"
-    files["weights"].write_text(weights.to_text())
+    texts = {
+        "predictions": ("predictions.csv", rows.getvalue()),
+        "metrics_csv": ("metrics.csv", table.to_csv()),
+        "metrics_txt": ("metrics.txt", table.to_text()),
+        "reports": (
+            "reports.json",
+            json.dumps({k: v.as_dict() for k, v in reports.items()}, sort_keys=True),
+        ),
+        "forest": ("forest.json", dump_model(forest)),
+        "gbt": ("gbt.json", dump_model(gbt)),
+        "weights": ("blend_weights.json", weights.to_text()),
+    }
     if scaler is not None:
-        files["scaler"] = out / "scaler.txt"
-        files["scaler"].write_text(scaler.to_text())
-    files["config"] = out / "run_config.json"
-    files["config"].write_text(json.dumps(config.as_dict(), sort_keys=True))
+        texts["scaler"] = ("scaler.txt", scaler.to_text())
+    texts["config"] = ("run_config.json", json.dumps(config.as_dict(), sort_keys=True))
+
+    files = {}
+    for name, (filename, text) in texts.items():
+        path = files[name] = config.out_dir / filename
+        try:
+            # newline="": the text is written as built, CSV line ends included
+            path.write_text(text, newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
     return files
 
 

@@ -75,8 +75,9 @@ def feature_names(lag_offsets: Optional[Sequence[int]] = None) -> list:
 
 
 def default_lag_offsets(granularity: Granularity) -> tuple:
+    """One day, two days and one week back: a day-ahead forecast."""
     bpd = granularity.buckets_per_day
-    return (1, 2, 3, bpd, 7 * bpd)
+    return (bpd, 2 * bpd, 7 * bpd)
 
 
 def calendar_features(timestamps) -> np.ndarray:

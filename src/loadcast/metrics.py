@@ -34,9 +34,17 @@ class MetricsReport:
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         try:
-            return cls(**d)
+            report = cls(**d)
         except TypeError as exc:
             raise DataError(f"malformed metrics report {d!r}: {exc}")
+        for name, value in d.items():
+            if value is None and name == "mape":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(
+                    f"malformed metrics report {d!r}: {name} is not a number"
+                )
+        return report
 
 
 def compute_metrics(

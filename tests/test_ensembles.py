@@ -229,17 +229,27 @@ class TestSerialization:
 
 class TestOneRowPredict:
     def test_equals_scalar_definitions_bit_for_bit(self):
-        # the forest mean of one row is np.mean over its trees' values and the
-        # boosted sum adds shrunken tree values to the base score in order
+        # the forest mean of one row adds its trees' values in order and then
+        # divides by the tree count; the boosted sum adds shrunken tree values
+        # to the base score in order. Either way one row gives the same bits
+        # alone as in a batch.
         rng = np.random.default_rng(9)
         X, y = random_dataset(rng, n=80, p=3)
         forest = fit_forest(X, y, ForestConfig(n_trees=15, seed=3))
         gbt = fit_gbt(X, y, GbtConfig(n_rounds=20))
-        for row in rng.uniform(-6, 6, (200, 3)):
+        rows = rng.uniform(-6, 6, (200, 3))
+        forest_batch = forest.predict_many(rows)
+        gbt_batch = gbt.predict_many(rows)
+        for i, row in enumerate(rows):
             got = forest.predict(row)
             assert isinstance(got, float)
-            assert got == float(np.mean([predict_one(t, row) for t in forest.trees]))
+            expected = 0.0
+            for t in forest.trees:
+                expected += predict_one(t, row)
+            assert got == expected / len(forest.trees)
+            assert got == forest_batch[i]
             expected = gbt.base_score
             for t in gbt.trees:
                 expected += gbt.config.shrinkage * predict_one(t, row)
             assert gbt.predict(row) == expected
+            assert gbt.predict(row) == gbt_batch[i]

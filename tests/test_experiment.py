@@ -12,7 +12,7 @@ import pytest
 import loadcast
 from loadcast import experiment
 from loadcast.cli import main
-from loadcast.ensembles import ForestConfig, GbtConfig
+from loadcast.ensembles import ForestConfig, GbtConfig, load_model
 from loadcast.errors import ConfigError, DataError, InvariantError
 from loadcast.experiment import (
     PREDICTION_COLUMNS,
@@ -20,7 +20,10 @@ from loadcast.experiment import (
     emit_week_series,
     run_experiment,
 )
-from loadcast.splitting import SplitSpec
+from loadcast.features import build_samples
+from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
+from loadcast.scaling import Scaler
+from loadcast.splitting import SplitSpec, split
 from loadcast.synthetic import SyntheticSpec, generate_synthetic
 from loadcast.tree import TreeConfig
 
@@ -153,11 +156,53 @@ class TestRunExperiment:
             assert run_config[model]["tree"]["min_samples_split"] == 3
         assert run_config["gbt"]["seed"] == 5
 
-    @pytest.mark.parametrize("offsets", [(0, 1), (-1, 2)])
-    def test_lag_offsets_below_one_rejected(self, tmp_path, offsets):
-        with pytest.raises(ConfigError, match="lag offsets must be >= 1"):
+    @pytest.mark.parametrize(
+        "lags, offsets, match",
+        [
+            (True, (0, 1), "must be >= 1"),
+            (True, (-1, 2), "must be >= 1"),
+            (True, (24, 24), "must not repeat"),
+            (False, (24,), "given, but lags are off"),
+        ],
+        ids=["offsets0", "offsets1", "repeated", "without-lags"],
+    )
+    def test_lag_offsets_below_one_rejected(self, tmp_path, lags, offsets, match):
+        with pytest.raises(ConfigError, match=f"lag offsets .*{match}"):
             small_config(tmp_path / "missing.csv", tmp_path / "out",
-                         lags=True, lag_offsets=offsets)
+                         lags=lags, lag_offsets=offsets)
+
+    @pytest.mark.parametrize(
+        "granularity, offsets", [(60, [24, 48, 168]), (1440, [1, 2, 7])]
+    )
+    def test_default_lagged_run_records_its_offsets(
+        self, small_input, tmp_path, granularity, offsets
+    ):
+        config = small_config(
+            small_input, tmp_path / "out", granularity=granularity, lags=True
+        )
+        run_config = json.loads(run_experiment(config).files["config"].read_text())
+        assert run_config["lags"] is True
+        assert run_config["lag_offsets"] == offsets
+
+    def test_lagged_predictions_are_batch_predictions(self, small_input, tmp_path):
+        # validation and test rows read the observed lags of build_samples, so
+        # each model scores the scaled test rows in one predict_many call
+        config = small_config(small_input, tmp_path / "out", lags=True)
+        result = run_experiment(config)
+        readings = interpolate_nulls(parse_readings(small_input.read_text()))
+        samples = build_samples(
+            aggregate(readings, Granularity(config.granularity)), config.lag_offsets
+        )
+        _, test = split(samples, config.split)
+        scaler = Scaler.from_text(result.files["scaler"].read_text())
+        X_test = scaler.transform(samples.X[test])
+        with result.files["predictions"].open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["actual"]) for r in rows] == samples.y[test].tolist()
+        for column, name in (("pred_rf", "forest"), ("pred_gbt", "gbt")):
+            model = load_model(result.files[name].read_text())
+            expected = model.predict_many(X_test).tolist()
+            assert [float(r[column]) for r in rows] == expected
 
     def test_scaler_fitted_on_training_only(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
@@ -228,12 +273,20 @@ class TestCli:
         assert main(["run", "--input", str(tmp_path / "x.csv"),
                      "--out-dir", str(tmp_path), "--granularity", "7"]) == 2
 
-    @pytest.mark.parametrize("offsets", ["0,1", "-1,2", "1,x"])
-    def test_bad_lag_offsets_exit_code(self, tmp_path, capsys, offsets):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--lags", "--lag-offsets=0,1"], id="0,1"),
+            pytest.param(["--lags", "--lag-offsets=-1,2"], id="-1,2"),
+            pytest.param(["--lags", "--lag-offsets=1,x"], id="1,x"),
+            pytest.param(["--lags", "--lag-offsets=24,24"], id="24,24"),
+            pytest.param(["--lag-offsets=24"], id="24-without-lags"),
+        ],
+    )
+    def test_bad_lag_offsets_exit_code(self, tmp_path, capsys, flags):
         # the input does not exist: exit 2, not 3, shows nothing was read
         assert main(["run", "--input", str(tmp_path / "absent.csv"),
-                     "--out-dir", str(tmp_path), "--lags",
-                     f"--lag-offsets={offsets}"]) == 2
+                     "--out-dir", str(tmp_path), *flags]) == 2
         assert "lag offsets" in capsys.readouterr().err
 
     def test_utc_offset_timestamps_exit_code(self, tmp_path):
@@ -346,11 +399,23 @@ def _error_case(name, tmp_path):
     if name == "synth-bad-start":
         return ["synth", "--days", "1", "--start", "2015-13-01",
                 "--out", str(tmp_path / "x.csv")]
+    if name == "predictions-path-is-directory":
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(days=14, meters=1, seed=4), data)
+        (tmp_path / "out" / "predictions.csv").mkdir(parents=True)
+        return ["run", "--input", str(data), "--out-dir", str(tmp_path / "out"),
+                "--granularity", "120", "--trees", "2", "--rounds", "3",
+                "--rf-depth", "3", "--gbt-depth", "3"]
     reports = tmp_path / "reports.json"
     if name == "compare-report-missing-fields":
         reports.write_text('{"m": {"mae": 1}}')
     elif name == "compare-report-not-object":
         reports.write_text("[1,2]")
+    elif name == "compare-report-non-numeric-metric":
+        fields = '"mae": 1, "mad": 1, "mape": null, "n_points": 2, "n_skipped_mape": 0'
+        reports.write_text(
+            f'{{"a": {{"rmse": 1, {fields}}}, "b": {{"rmse": "x", {fields}}}}}'
+        )
     return ["compare", str(reports)]
 
 
@@ -365,6 +430,8 @@ def _error_case(name, tmp_path):
         ("synth-bad-start", 2),
         ("compare-report-missing-fields", 3),
         ("compare-report-not-object", 3),
+        ("compare-report-non-numeric-metric", 3),
+        ("predictions-path-is-directory", 2),
     ],
 )
 def test_failure_exit_codes_without_traceback(tmp_path, name, code):

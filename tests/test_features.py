@@ -122,8 +122,8 @@ def test_feature_names_and_matrix_shape():
 
 
 def test_default_lag_offsets():
-    assert default_lag_offsets(Granularity(60)) == (1, 2, 3, 24, 168)
-    assert default_lag_offsets(Granularity(1440)) == (1, 2, 3, 1, 7)
+    assert default_lag_offsets(Granularity(60)) == (24, 48, 168)
+    assert default_lag_offsets(Granularity(1440)) == (1, 2, 7)
 
 
 def test_lags_from_history():
