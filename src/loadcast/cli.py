@@ -36,7 +36,7 @@ def _load_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -238,7 +238,7 @@ def cmd_compare(args) -> int:
     for path in args.reports:
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read reports file {path}: {exc}")
         if not isinstance(doc, dict):
             raise DataError(f"reports file {path} is not a JSON object")

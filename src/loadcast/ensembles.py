@@ -13,7 +13,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tree import TreeConfig, fit_tree, tree_from_dict, tree_to_dict
+from .tree import (
+    TreeConfig,
+    fit_tree,
+    grow_tree,
+    presort,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,12 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
         raise DataError("cannot fit boosted trees on an empty sample set")
     base = float(np.mean(y))
     pred = np.full(len(y), base)
+    order = presort(X)  # X is the same in every round
     trees = []
     for _ in range(config.n_rounds):
         residuals = y - pred
-        tree = fit_tree(X, residuals, config.tree)
-        pred = pred + config.shrinkage * tree.predict_many(X)
+        tree, fitted = grow_tree(X, residuals, order, config.tree)
+        pred = pred + config.shrinkage * fitted
         trees.append(tree)
     return GbtModel(base_score=base, trees=trees, config=config)
 

@@ -89,8 +89,9 @@ def parse_readings(csv_text: str) -> Readings:
     by commas, without quoting. Blank lines are skipped. A timestamp is
     YYYY-MM-DD, optionally followed by 'T' or a space and HH:MM, HH:MM:SS or
     HH:MM:SS.ffffff, in local time: a UTC offset is rejected. A cell that is
-    empty or whitespace is a null. Row numbers in error messages count the
-    header as row 1 and include blank lines.
+    empty or whitespace is a null. A file without data rows is rejected. Row
+    numbers in error messages count the header as row 1 and include blank
+    lines.
     """
     if "\r" in csv_text:
         csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
@@ -110,6 +111,8 @@ def parse_readings(csv_text: str) -> Readings:
     line_end = np.concatenate((newlines, [buf.size]))
     data_lines = np.flatnonzero(line_end > line_start)
     lines = data_lines[data_lines > 0]  # line index; its row number is index + 1
+    if not lines.size:
+        raise DataError("no data rows after the header")
     start, end = line_start[lines], line_end[lines]
 
     commas = np.flatnonzero(buf == ord(","))

@@ -8,6 +8,7 @@ injected at a configurable rate to exercise the repair path.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -35,6 +36,10 @@ class SyntheticSpec:
             raise ConfigError(f"days must be >= 1, got {self.days}")
         if self.meters < 1:
             raise ConfigError(f"meters must be >= 1, got {self.meters}")
+        for name in ("base_kw", "daily_amplitude", "weekly_amplitude",
+                     "seasonal_amplitude", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("daily_amplitude", "weekly_amplitude", "seasonal_amplitude"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

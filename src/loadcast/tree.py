@@ -4,10 +4,20 @@ Split quality is the variance reduction Var(parent) - weighted child
 variances; a node is only split when the reduction clears the configured
 minimum gain, interpreted by default as a fraction of the parent variance.
 Routing: feature value <= threshold goes left.
+
+Each column is sorted once per fit (`presort`), not once per node. A node
+holds its rows in ascending order and, for every column, the same rows in
+that column's stable sort order; its children inherit both through one flag
+per row, so the order is kept and nothing is sorted again. `best_split`
+scores all drawn features of a node in one array pass over those presorted
+rows. Ties break to the lowest feature, then the lowest threshold. The trees
+are bit for bit those of a grower that argsorts every node's rows and scans
+each cut in turn (`tests/oracles.py` keeps it as the reference).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,8 +38,10 @@ class TreeConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_gain < 0:
-            raise ConfigError(f"min_gain must be >= 0, got {self.min_gain}")
+        if not (math.isfinite(self.min_gain) and self.min_gain >= 0):
+            raise ConfigError(
+                f"min_gain must be a finite number >= 0, got {self.min_gain}"
+            )
         if self.min_samples_split < 2:
             raise ConfigError(
                 f"min_samples_split must be >= 2, got {self.min_samples_split}"
@@ -97,59 +109,129 @@ class RegressionTree:
 
 
 def best_split(
-    X: np.ndarray, y: np.ndarray, feature_ids: Optional[Sequence[int]] = None
+    X: np.ndarray,
+    y: np.ndarray,
+    feature_ids: Optional[Sequence[int]] = None,
+    rows: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None,
 ) -> Optional[SplitCandidate]:
-    """Best (feature, midpoint-threshold) by variance reduction.
+    """Best (feature, midpoint-threshold) by variance reduction over a node.
+
+    The node is `rows`, its indices into X and y in ascending order, with
+    `order = presort(X)` narrowed to the same rows: row f of the
+    (features, rows) matrix lists them in the stable sort order of column f.
+    Pass both or neither; without them the node is every row and the
+    columns are sorted here.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. Returns None when the parent variance is zero or
-    no candidate has positive gain. Ties break to the lowest feature_id, then
-    the lowest threshold (guaranteed by ascending scan + strict improvement).
+    values of each feature. The drawn features are scored in one pass: a
+    running sum along each presorted row gives every cut's child sums, added
+    in the same order as a per-feature scan would add them. Returns None when
+    the parent variance is zero or no candidate has positive gain. Ties break
+    to the lowest feature_id, then the lowest threshold: the first maximum
+    over (sorted feature, cut position), as an ascending scan that keeps
+    only strict improvements would find it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
+    if order is None:
+        rows, order = np.arange(len(y)), presort(X)
+    n = len(rows)
     if n < 2:
         return None
-    if feature_ids is None:
-        feature_ids = range(X.shape[1])
 
-    sy = float(y.sum())
-    sy2 = float((y * y).sum())
+    node_y = y[rows]
+    sy = float(node_y.sum())
+    sy2 = float((node_y * node_y).sum())
     sse_parent = max(sy2 - sy * sy / n, 0.0)
     var_parent = sse_parent / n
     if var_parent <= 0.0:
         return None
 
-    best = None
-    for f in sorted(feature_ids):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
-        cut_positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        for i in cut_positions:
-            n_l = int(i)
-            n_r = n - n_l
-            sse_l = max(cy2[i - 1] - cy[i - 1] * cy[i - 1] / n_l, 0.0)
-            sse_r = max(
-                (cy2[-1] - cy2[i - 1])
-                - (cy[-1] - cy[i - 1]) * (cy[-1] - cy[i - 1]) / n_r,
-                0.0,
-            )
-            gain = (sse_parent - sse_l - sse_r) / n
-            if gain <= 0.0:
-                continue
-            if best is None or gain > best.gain:
-                threshold = (xs[i - 1] + xs[i]) / 2
-                best = SplitCandidate(
-                    feature_id=int(f),
-                    threshold=float(threshold),
-                    gain=float(gain),
-                    relative_gain=float(gain / var_parent),
-                )
-    return best
+    if feature_ids is None:
+        fids = np.arange(X.shape[1])
+    else:
+        fids = np.sort(np.asarray(feature_ids, dtype=np.intp))
+    idx = order[fids]
+    xs = X[idx, fids[:, None]]
+    ys = y[idx]
+    cy = ys.cumsum(axis=1)
+    cy2 = (ys * ys).cumsum(axis=1)
+    # column j is the cut after sorted position j: n_l = j + 1 rows go left.
+    # Sums of squares are never -0.0, so np.maximum(., 0.0) is max(., 0.0).
+    n_l = np.arange(1, n)
+    left, left2 = cy[:, :-1], cy2[:, :-1]
+    sse_l = np.maximum(left2 - left * left / n_l, 0.0)
+    right = cy[:, -1:] - left
+    sse_r = np.maximum((cy2[:, -1:] - left2) - right * right / (n - n_l), 0.0)
+    gain = (sse_parent - sse_l - sse_r) / n
+    usable = (xs[:, 1:] > xs[:, :-1]) & (gain > 0.0)
+    if not usable.any():
+        return None
+    gain[~usable] = -np.inf
+    f, j = divmod(int(gain.argmax()), n - 1)
+    best = gain[f, j]
+    return SplitCandidate(
+        feature_id=int(fids[f]),
+        threshold=float((xs[f, j] + xs[f, j + 1]) / 2),
+        gain=float(best),
+        relative_gain=float(best / var_parent),
+    )
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """(features, rows) matrix: row f lists the row indices of X in the
+    stable sort order of column f (ties keep row order)."""
+    return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
+
+
+def grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    config: TreeConfig,
+    feature_sampler: Optional[Callable[[], Sequence[int]]] = None,
+) -> tuple[RegressionTree, np.ndarray]:
+    """(tree, fitted): the tree grown on float arrays X and y, and the leaf
+    value of each training row, equal to `tree.predict_many(X)`.
+
+    `order` is `presort(X)`, so one sort can serve every tree fitted on the
+    same X. Growth is depth-first, left child first. Each node keeps its rows
+    in ascending order and `order` narrowed to them; one flag per row, true
+    for the rows that go left, splits both between the children without
+    changing their order, so nothing is sorted again.
+    """
+    fitted = np.empty(len(y))
+    goes_left = np.zeros(len(y), dtype=bool)
+
+    def grow(rows, order, depth):
+        n = len(rows)
+        # the bits of np.mean: the same pairwise sum over y[rows], over n
+        leaf = Leaf(value=float(y[rows].sum() / n), n_samples=n)
+        cand = None
+        if depth < config.max_depth and n >= config.min_samples_split:
+            fids = feature_sampler() if feature_sampler is not None else None
+            cand = best_split(X, y, fids, rows=rows, order=order)
+        if cand is None or (
+            cand.relative_gain if config.gain_mode == "relative" else cand.gain
+        ) < config.min_gain:
+            fitted[rows] = leaf.value
+            return leaf
+        here = X[rows, cand.feature_id] <= cand.threshold
+        goes_left[rows] = here
+        sides = goes_left[order]
+        p = len(order)
+        left_order = order[sides].reshape(p, -1)
+        right_order = order[~sides].reshape(p, -1)
+        return Internal(
+            feature_id=cand.feature_id,
+            threshold=cand.threshold,
+            left=grow(rows[here], left_order, depth + 1),
+            right=grow(rows[~here], right_order, depth + 1),
+        )
+
+    root = grow(np.arange(len(y)), order, 0)
+    return RegressionTree(root=root, n_features=X.shape[1]), fitted
 
 
 def fit_tree(
@@ -161,37 +243,15 @@ def fit_tree(
     """Greedy recursive growth; leaves carry the mean target of their samples.
 
     `feature_sampler`, when given, supplies the candidate feature subset for
-    each node (used by the forest for per-node feature subsampling).
+    each node (used by the forest for per-node feature subsampling). The
+    columns of X are sorted once, for the whole tree.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise DataError("cannot fit a tree on an empty sample set")
     config = config or TreeConfig()
-
-    def grow(Xs, ys, depth):
-        n = len(ys)
-        leaf = Leaf(value=float(np.mean(ys)), n_samples=n)
-        if depth >= config.max_depth or n < config.min_samples_split:
-            return leaf
-        fids = feature_sampler() if feature_sampler is not None else None
-        cand = best_split(Xs, ys, fids)
-        if cand is None:
-            return leaf
-        measured = (
-            cand.relative_gain if config.gain_mode == "relative" else cand.gain
-        )
-        if measured < config.min_gain:
-            return leaf
-        mask = Xs[:, cand.feature_id] <= cand.threshold
-        return Internal(
-            feature_id=cand.feature_id,
-            threshold=cand.threshold,
-            left=grow(Xs[mask], ys[mask], depth + 1),
-            right=grow(Xs[~mask], ys[~mask], depth + 1),
-        )
-
-    return RegressionTree(root=grow(X, y, 0), n_features=X.shape[1])
+    return grow_tree(X, y, presort(X), config, feature_sampler)[0]
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:

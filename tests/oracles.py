@@ -49,6 +49,84 @@ def brute_force_best_split(X, y):
     return best
 
 
+def per_node_best_split(X, y, feature_ids=None):
+    """Per-node split search: argsort each feature of the node's own rows and
+    scan the cut points in a Python loop. Returns (feature_id, threshold,
+    gain, relative_gain) or None; `tree.best_split` must agree bit for bit."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if n < 2:
+        return None
+    if feature_ids is None:
+        feature_ids = range(X.shape[1])
+
+    sy = float(y.sum())
+    sy2 = float((y * y).sum())
+    sse_parent = max(sy2 - sy * sy / n, 0.0)
+    var_parent = sse_parent / n
+    if var_parent <= 0.0:
+        return None
+
+    best = None
+    for f in sorted(feature_ids):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        cy = np.cumsum(ys)
+        cy2 = np.cumsum(ys * ys)
+        cut_positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        for i in cut_positions:
+            n_l = int(i)
+            n_r = n - n_l
+            sse_l = max(cy2[i - 1] - cy[i - 1] * cy[i - 1] / n_l, 0.0)
+            sse_r = max(
+                (cy2[-1] - cy2[i - 1])
+                - (cy[-1] - cy[i - 1]) * (cy[-1] - cy[i - 1]) / n_r,
+                0.0,
+            )
+            gain = (sse_parent - sse_l - sse_r) / n
+            if gain <= 0.0:
+                continue
+            if best is None or gain > best[2]:
+                threshold = (xs[i - 1] + xs[i]) / 2
+                best = (int(f), float(threshold), float(gain), float(gain / var_parent))
+    return best
+
+
+def per_node_tree(X, y, max_depth, min_gain, min_samples_split, gain_mode,
+                  feature_sampler=None):
+    """The tree the per-node grower builds, as the nested dict of
+    `tree_to_dict`: recursive, left child first, each child handed the
+    masked copy of its parent's rows."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def grow(Xs, ys, depth):
+        n = len(ys)
+        leaf = {"kind": "leaf", "value": float(np.mean(ys)), "n_samples": n}
+        if depth >= max_depth or n < min_samples_split:
+            return leaf
+        fids = feature_sampler() if feature_sampler is not None else None
+        cand = per_node_best_split(Xs, ys, fids)
+        if cand is None:
+            return leaf
+        feature_id, threshold, gain, relative_gain = cand
+        measured = relative_gain if gain_mode == "relative" else gain
+        if measured < min_gain:
+            return leaf
+        mask = Xs[:, feature_id] <= threshold
+        return {
+            "kind": "split",
+            "feature_id": feature_id,
+            "threshold": threshold,
+            "left": grow(Xs[mask], ys[mask], depth + 1),
+            "right": grow(Xs[~mask], ys[~mask], depth + 1),
+        }
+
+    return {"n_features": X.shape[1], "root": grow(X, y, 0)}
+
+
 # ---------------------------------------------------------------------------
 # spreadsheet-style error metrics
 
@@ -131,7 +209,8 @@ def iso_week(year, month, day):
 def parse_rows(text):
     """Parse a readings CSV row by row: a list of (datetime, values) with None
     for a null cell. Raises ValueError with the library's DataError message
-    for the first offending row (the header is row 1; blank lines count)."""
+    for the first offending row (the header is row 1; blank lines count), or
+    when no data row follows the header."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -176,6 +255,8 @@ def parse_rows(text):
                 raise ValueError(f"negative reading at row {row_no}, column {col}")
             values.append(v)
         rows.append((ts, tuple(values)))
+    if not rows:
+        raise ValueError("no data rows after the header")
     return rows
 
 

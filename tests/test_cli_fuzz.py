@@ -1,0 +1,142 @@
+"""`cli.main` on small malformed inputs: it returns a documented exit code
+(0, or 2/3/4 for config/data/invariant errors) and lets no exception escape."""
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from loadcast.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+# tiny models: one tree, one round, shallow, so each example runs in
+# milliseconds; explicit flags win over the config file
+TINY = ["--trees", "1", "--rounds", "1", "--rf-depth", "2", "--gbt-depth", "2"]
+
+
+def _run(files: dict, argv_of) -> int:
+    """Write `files` (name -> bytes) to a fresh directory and call
+    main(argv_of(directory))."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        return main(argv_of(root))
+
+
+def _run_csv(data: bytes, *flags) -> int:
+    return _run(
+        {"in.csv": data},
+        lambda root: ["run", "--input", str(root / "in.csv"),
+                      "--out-dir", str(root / "out"), *TINY, *flags],
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes
+
+# a valid two-day hourly file, cut short and edited a few lines at a time
+_HEADERS = (b"", b"time,a\n", b"timestamp\n", b"timestamp,a,b\n") + (b"timestamp,a\n",) * 4
+_LINES = [b"2015-01-%02dT%02d:00,%d" % (1 + h // 24, h % 24, h % 7) for h in range(48)]
+_CELLS = (b"", b" 2 ", b"-1", b"nan", b"inf", b"abc", b"1e400", b"\xff", b"\x00", b"\"1\"")
+_EDITS = {
+    "blank": lambda line, cell: b"",
+    "cell": lambda line, cell: line.split(b",")[0] + b"," + cell,
+    "extra cell": lambda line, cell: line + b"," + cell,
+    "space": lambda line, cell: line.replace(b"T", b" "),
+    "bad stamp": lambda line, cell: line.replace(b"T", cell or b"X"),
+    "earlier stamp": lambda line, cell: _LINES[0],
+    "crlf": lambda line, cell: line + b"\r",
+    "cut": lambda line, cell: line[: len(line) // 2],
+}
+_EDIT = st.tuples(st.integers(0, 47), st.sampled_from(sorted(_EDITS)), st.sampled_from(_CELLS))
+
+
+def _csv(header, kept, edits):
+    lines = _LINES[:kept]
+    for i, kind, cell in edits:
+        if i < len(lines):
+            lines[i] = _EDITS[kind](lines[i], cell)
+    return header + b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_HEADERS),
+    st.sampled_from((48, 48, 48, 0, 1, 5, 12)),
+    st.lists(_EDIT, max_size=3),
+    st.sampled_from((["--granularity", "60", "--split", "ordered"],
+                     ["--granularity", "120", "--split", "monthly",
+                      "--lags", "--lag-offsets", "1,12"])),
+)
+def test_run_on_malformed_csv(header, kept, edits, flags):
+    assert _run_csv(_csv(header, kept, edits), *flags) in EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# config-file lines
+
+_GOOD_CSV = b"timestamp,a,b\n" + b"".join(
+    b"2015-01-%02dT%02d:%02d,%d,%d\n" % (1 + m // 1440, m // 60 % 24, m % 60,
+                                         m % 97, 3 * m % 41)
+    for m in range(0, 14 * 1440, 60)
+)
+_KEYS = (
+    "granularity", "split", "train_fraction", "scaler", "lags", "lag_offsets",
+    "rf_min_gain", "feature_fraction", "bootstrap", "shrinkage", "gbt_min_gain",
+    "gain_mode", "validation_fraction", "mad_mode", "seed", "rf-depth", "unknown",
+)
+_VALUES = (
+    "", "0", "1", "-1", "2", "60", "1440", "7", "0.5", "1.0", "1.5", "nan", "inf",
+    "-inf", "1e308", "abc", "true", "off", "ordered", "monthly", "seasonal",
+    "season:summer", "season:monsoon", "minmax", "none", "absolute", "median",
+    "1,2", "24,24", "0,1", "x,1", "99999",
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(_VALUES)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    ),
+    st.sampled_from(("# comment", "", "no equals sign", "=", " = 1", "a=b=c")),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_CONFIG_LINE, max_size=6), st.sampled_from((b"", b"\n", b"\xff")))
+def test_run_with_malformed_config_file(lines, tail):
+    code = _run(
+        {"in.csv": _GOOD_CSV, "run.cfg": "\n".join(lines).encode() + tail},
+        lambda root: ["run", "--config", str(root / "run.cfg"),
+                      "--input", str(root / "in.csv"),
+                      "--out-dir", str(root / "out"), *TINY],
+    )
+    assert code in EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# reports.json documents
+
+_FIELDS = ("rmse", "mae", "mad", "mape", "n_points", "n_skipped_mape", "extra")
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.sampled_from(
+        (0.0, 1.5, -2.0, 1e308, float("nan"), float("inf"))
+    ) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_REPORT = st.dictionaries(st.sampled_from(_FIELDS), _JSON_VALUE, max_size=7)
+_DOCUMENT = st.one_of(
+    st.dictionaries(st.text(max_size=4), _REPORT, max_size=3).map(json.dumps),
+    _JSON_VALUE.map(json.dumps),
+).map(str.encode) | st.sampled_from((b"", b"{", b"\xff{}", b"[]", b"null"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_DOCUMENT, st.booleans())
+def test_compare_on_malformed_reports(document, as_csv):
+    code = _run(
+        {"reports.json": document},
+        lambda root: ["compare", str(root / "reports.json"),
+                      *(["--csv"] if as_csv else [])],
+    )
+    assert code in EXIT_CODES

@@ -320,6 +320,14 @@ class TestCli:
         assert main(["synth", "--days", "1", "--out", str(got)]) == 0
         assert got.read_bytes() == expected.read_bytes()
 
+    def test_header_only_input_is_a_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("timestamp,a,b\n")
+        assert main(["run", "--input", str(data), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: [parse] no data rows after the header\n"
+        )
+
     def test_data_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path)]) == 3
@@ -399,6 +407,13 @@ def _error_case(name, tmp_path):
     if name == "synth-bad-start":
         return ["synth", "--days", "1", "--start", "2015-13-01",
                 "--out", str(tmp_path / "x.csv")]
+    if name in ("rf-min-gain-nan", "gbt-min-gain-inf"):
+        flag = "--rf-min-gain" if name.startswith("rf") else "--gbt-min-gain"
+        return ["run", "--input", str(good), "--out-dir", str(tmp_path / "o"),
+                flag, name.rsplit("-", 1)[1]]
+    if name.startswith("synth-non-finite-"):
+        flag = "--" + name[len("synth-non-finite-"):]
+        return ["synth", "--days", "1", flag, "nan", "--out", str(tmp_path / "x.csv")]
     if name == "predictions-path-is-directory":
         data = tmp_path / "d.csv"
         generate_synthetic(SyntheticSpec(days=14, meters=1, seed=4), data)
@@ -432,6 +447,10 @@ def _error_case(name, tmp_path):
         ("compare-report-not-object", 3),
         ("compare-report-non-numeric-metric", 3),
         ("predictions-path-is-directory", 2),
+        ("rf-min-gain-nan", 2),
+        ("gbt-min-gain-inf", 2),
+        ("synth-non-finite-noise-std", 2),
+        ("synth-non-finite-base-kw", 2),
     ],
 )
 def test_failure_exit_codes_without_traceback(tmp_path, name, code):

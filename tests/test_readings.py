@@ -47,7 +47,9 @@ class TestParse:
         np.testing.assert_array_equal(readings.values[0], [10.0, np.nan, 3.5])
 
     def test_header_only(self):
-        assert len(parse_readings("timestamp,a\n")) == 0
+        for text in ("timestamp,a\n", "timestamp,a", "timestamp,a\n\n\r\n"):
+            with pytest.raises(DataError, match="^no data rows after the header$"):
+                parse_readings(text)
 
     def test_non_monotonic(self):
         text = (
@@ -375,7 +377,7 @@ class TestAggregate:
         assert len(records) == 72
 
     def test_empty(self):
-        empty = parse_readings("timestamp,a\n")
+        empty = Readings(np.array([], dtype="datetime64[us]"), np.empty((0, 1)))
         assert bucket_records(interpolate_nulls(empty), Granularity(60)) == []
 
 

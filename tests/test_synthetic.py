@@ -72,3 +72,8 @@ def test_spec_validation():
         SyntheticSpec(null_rate=1.0)
     with pytest.raises(ConfigError):
         SyntheticSpec(noise_std=-1.0)
+    for name in ("base_kw", "daily_amplitude", "weekly_amplitude",
+                 "seasonal_amplitude", "noise_std"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                SyntheticSpec(**{name: bad})

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadcast.errors import ConfigError, DataError, SchemaError
 from loadcast.tree import (
+    GAIN_MODES,
     Internal,
     Leaf,
     RegressionTree,
@@ -10,7 +14,9 @@ from loadcast.tree import (
     best_split,
     dump_tree,
     fit_tree,
+    grow_tree,
     load_tree,
+    presort,
 )
 
 import oracles
@@ -202,6 +208,9 @@ class TestConfig:
             TreeConfig(max_depth=0)
         with pytest.raises(ConfigError):
             TreeConfig(min_gain=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                TreeConfig(min_gain=bad)
         with pytest.raises(ConfigError):
             TreeConfig(min_samples_split=1)
         with pytest.raises(ConfigError):
@@ -221,3 +230,61 @@ class TestSerialization:
             restored.predict_many(probe), tree.predict_many(probe)
         )
         assert dump_tree(restored) == dump_tree(tree)
+
+
+@st.composite
+def _tree_problems(draw):
+    """(X, y, config, sampler seed or None, features per node): few distinct
+    rows drawn with repeats, as a bootstrap sample has them; integer columns
+    with many ties, or floats; integer or float targets."""
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        value = st.integers(0, 3).map(float)
+    else:
+        value = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    distinct = draw(st.lists(st.lists(value, min_size=p, max_size=p),
+                             min_size=1, max_size=20))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        target = st.integers(-20, 20).map(float)
+    else:
+        target = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    y = draw(st.lists(target, min_size=len(picks), max_size=len(picks)))
+    config = TreeConfig(
+        max_depth=draw(st.integers(1, 8)),
+        min_gain=draw(st.sampled_from((0.0, 0.2))),
+        min_samples_split=draw(st.integers(2, 6)),
+        gain_mode=draw(st.sampled_from(GAIN_MODES)),
+    )
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, p))
+    return np.array(distinct)[picks], np.array(y), config, seed, k
+
+
+def _sampler(seed, p, k):
+    """Per-node feature draws: k of p features, in no particular order."""
+    if seed is None:
+        return None
+    rng = np.random.default_rng(seed)
+    return lambda: rng.permutation(p)[:k]
+
+
+class TestGrowerOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tree_problems())
+    def test_same_tree_as_the_per_node_grower(self, problem):
+        X, y, config, seed, k = problem
+        p = X.shape[1]
+        got = dump_tree(fit_tree(X, y, config, _sampler(seed, p, k)))
+        want = oracles.per_node_tree(
+            X, y, config.max_depth, config.min_gain, config.min_samples_split,
+            config.gain_mode, _sampler(seed, p, k),
+        )
+        assert got == json.dumps(want, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tree_problems())
+    def test_fitted_values_are_the_predictions(self, problem):
+        X, y, config, seed, k = problem
+        tree, fitted = grow_tree(X, y, presort(X), config, _sampler(seed, X.shape[1], k))
+        assert fitted.tobytes() == tree.predict_many(X).tobytes()
