@@ -5,7 +5,6 @@ model contributes more; a perfect model (RMSE 0) takes all the weight.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -17,26 +16,11 @@ from .errors import ConfigError, DataError
 
 @dataclass
 class EnsembleWeights:
+    """Saved and reloaded as its fields (`EnsembleWeights(**doc)`)."""
+
     weights: dict  # model name -> weight, summing to 1
     validation_rmse: dict  # model name -> RMSE the weight came from
     metric: str = "rmse"
-
-    def to_text(self) -> str:
-        doc = {
-            "metric": self.metric,
-            "weights": self.weights,
-            "validation_rmse": self.validation_rmse,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str) -> "EnsembleWeights":
-        doc = json.loads(text)
-        return cls(
-            weights=doc["weights"],
-            validation_rmse=doc["validation_rmse"],
-            metric=doc.get("metric", "rmse"),
-        )
 
 
 def _rmse(pred: np.ndarray, actual: np.ndarray) -> float:

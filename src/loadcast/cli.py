@@ -164,7 +164,6 @@ def cmd_run(args) -> int:
     out_dir = r.get("out_dir")
     if out_dir is None:
         out_dir = _default_out_dir()
-    seed = r.get("seed", int)
     gain_mode = r.get("gain_mode")
     rf_tree = TreeConfig(**_given(
         max_depth=r.get("rf_depth", int),
@@ -197,13 +196,12 @@ def cmd_run(args) -> int:
             tree=rf_tree,
             bootstrap=r.get("bootstrap", _parse_bool),
             feature_fraction=r.get("feature_fraction", float),
-            seed=seed,
+            seed=r.get("seed", int),
         )),
         gbt=GbtConfig(**_given(
             n_rounds=r.get("rounds", int),
             shrinkage=r.get("shrinkage", float),
             tree=gbt_tree,
-            seed=seed,
         )),
         **options,
     )
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--validation-fraction", dest="validation_fraction", type=float
     )
     run.add_argument("--mad-mode", dest="mad_mode", choices=["mean", "median"])
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=int, help="forest seed (boosting draws nothing)")
     run.set_defaults(func=cmd_run)
 
     week = sub.add_parser("week", help="extract a 7-day prediction slice")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class GbtConfig:
     n_rounds: int = 100
     shrinkage: float = 0.1
     tree: TreeConfig = field(default_factory=TreeConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -141,59 +140,35 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: a model's fields as JSON, each tree in the nested layout of
+# `tree_to_dict`
 
-
-def _config_from(cls, doc: dict):
-    """ForestConfig/GbtConfig from its `asdict` form; absent keys take the
-    dataclass defaults."""
-    return cls(**{**doc, "tree": TreeConfig(**doc["tree"])})
-
-
-def forest_to_dict(model: ForestModel) -> dict:
-    return {
-        "model": "random_forest",
-        "config": asdict(model.config),
-        "trees": [tree_to_dict(t) for t in model.trees],
-    }
-
-
-def forest_from_dict(doc: dict) -> ForestModel:
-    return ForestModel(
-        trees=[tree_from_dict(t) for t in doc["trees"]],
-        config=_config_from(ForestConfig, doc["config"]),
-    )
-
-
-def gbt_to_dict(model: GbtModel) -> dict:
-    return {
-        "model": "gradient_boosting",
-        "base_score": model.base_score,
-        "config": asdict(model.config),
-        "trees": [tree_to_dict(t) for t in model.trees],
-    }
-
-
-def gbt_from_dict(doc: dict) -> GbtModel:
-    return GbtModel(
-        base_score=doc["base_score"],
-        trees=[tree_from_dict(t) for t in doc["trees"]],
-        config=_config_from(GbtConfig, doc["config"]),
-    )
+MODELS = {
+    "random_forest": (ForestModel, ForestConfig),
+    "gradient_boosting": (GbtModel, GbtConfig),
+}
 
 
 def dump_model(model) -> str:
-    if isinstance(model, ForestModel):
-        return json.dumps(forest_to_dict(model), sort_keys=True)
-    if isinstance(model, GbtModel):
-        return json.dumps(gbt_to_dict(model), sort_keys=True)
-    raise ConfigError(f"cannot serialize {type(model).__name__}")
+    kind = next((k for k, (cls, _) in MODELS.items() if type(model) is cls), None)
+    if kind is None:
+        raise ConfigError(f"cannot serialize {type(model).__name__}")
+    doc = {**vars(model), "model": kind, "config": asdict(model.config)}
+    doc["trees"] = [tree_to_dict(t) for t in model.trees]
+    return json.dumps(doc, sort_keys=True)
 
 
 def load_model(text: str):
     doc = json.loads(text)
-    if doc.get("model") == "random_forest":
-        return forest_from_dict(doc)
-    if doc.get("model") == "gradient_boosting":
-        return gbt_from_dict(doc)
-    raise DataError(f"unknown model kind {doc.get('model')!r}")
+    kind = doc.pop("model", None)
+    if kind not in MODELS:
+        raise DataError(f"unknown model kind {kind!r}")
+    model_cls, config_cls = MODELS[kind]
+    # absent keys take the dataclass defaults; keys that are no field any
+    # more are dropped (a gbt.json from before GbtConfig.seed went holds one)
+    known = {f.name for f in fields(config_cls)}
+    config = {k: v for k, v in doc["config"].items() if k in known}
+    config["tree"] = TreeConfig(**config["tree"])
+    doc["config"] = config_cls(**config)
+    doc["trees"] = [tree_from_dict(t) for t in doc["trees"]]
+    return model_cls(**doc)

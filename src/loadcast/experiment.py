@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .features import build_samples, default_lag_offsets, feature_names
 from .metrics import ComparisonTable, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
-from .scaling import fit_scaler
+from .scaling import SCALER_KINDS, fit_scaler
 from .splitting import SplitSpec, split
 
 MODEL_RF = "random_forest"
@@ -58,7 +58,7 @@ class ExperimentConfig:
                 "validation_fraction must be in (0, 0.5), "
                 f"got {self.validation_fraction}"
             )
-        if self.scaler is not None and self.scaler not in ("minmax", "maxabs"):
+        if self.scaler is not None and self.scaler not in SCALER_KINDS:
             raise ConfigError(f"unknown scaler {self.scaler!r}")
         if self.lag_offsets and not self.lags:
             raise ConfigError(
@@ -75,12 +75,6 @@ class ExperimentConfig:
         if len(set(offsets)) < len(offsets):
             raise ConfigError(f"lag offsets must not repeat, got {list(offsets)}")
         self.lag_offsets = offsets or None
-
-    def as_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["input_path"] = str(self.input_path)
-        doc["out_dir"] = str(self.out_dir)
-        return doc
 
 
 @dataclass
@@ -203,6 +197,17 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
+def dump_json(obj) -> str:
+    """A JSON artifact of a run: dataclasses as their fields
+    (`dataclasses.asdict`), paths as strings, keys sorted. Each reloads
+    through its class, `cls(**json.loads(text))`."""
+    return json.dumps(
+        obj,
+        sort_keys=True,
+        default=lambda o: str(o) if isinstance(o, Path) else dataclasses.asdict(o),
+    )
+
+
 def _write_outputs(
     config,
     test_timestamps,
@@ -236,17 +241,14 @@ def _write_outputs(
         "predictions": ("predictions.csv", rows.getvalue()),
         "metrics_csv": ("metrics.csv", table.to_csv()),
         "metrics_txt": ("metrics.txt", table.to_text()),
-        "reports": (
-            "reports.json",
-            json.dumps({k: v.as_dict() for k, v in reports.items()}, sort_keys=True),
-        ),
+        "reports": ("reports.json", dump_json(reports)),
         "forest": ("forest.json", dump_model(forest)),
         "gbt": ("gbt.json", dump_model(gbt)),
-        "weights": ("blend_weights.json", weights.to_text()),
+        "weights": ("blend_weights.json", dump_json(weights)),
     }
     if scaler is not None:
-        texts["scaler"] = ("scaler.txt", scaler.to_text())
-    texts["config"] = ("run_config.json", json.dumps(config.as_dict(), sort_keys=True))
+        texts["scaler"] = ("scaler.json", dump_json(scaler))
+    texts["config"] = ("run_config.json", dump_json(config))
 
     files = {}
     for name, (filename, text) in texts.items():
@@ -263,9 +265,17 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
     """Slice [anchor, anchor + 7 days) out of a prediction CSV."""
     predictions_csv = Path(predictions_csv)
     out_path = Path(out_path)
+    if anchor.tzinfo is not None:
+        # prediction timestamps are naive local times, as in the input
+        raise ConfigError(f"anchor {anchor.isoformat()} must not carry a UTC offset")
+    try:
+        end = anchor + timedelta(days=7)
+    except OverflowError:
+        raise ConfigError(
+            f"anchor {anchor.isoformat()}: its 7-day window ends past year 9999"
+        )
     if not predictions_csv.exists():
         raise DataError(f"prediction file not found: {predictions_csv}")
-    end = anchor + timedelta(days=7)
 
     with predictions_csv.open() as fh:
         reader = csv.reader(fh)

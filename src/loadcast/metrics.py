@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,9 +27,6 @@ class MetricsReport:
     mape: Optional[float]  # None when every actual is zero
     n_points: int
     n_skipped_mape: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":

@@ -36,6 +36,10 @@ class SyntheticSpec:
             raise ConfigError(f"days must be >= 1, got {self.days}")
         if self.meters < 1:
             raise ConfigError(f"meters must be >= 1, got {self.meters}")
+        try:
+            self.start + timedelta(days=self.days - 1)
+        except OverflowError:
+            raise ConfigError(f"{self.days} days from {self.start} end past {date.max}")
         for name in ("base_kw", "daily_amplitude", "weekly_amplitude",
                      "seasonal_amplitude", "noise_std"):
             if not math.isfinite(getattr(self, name)):

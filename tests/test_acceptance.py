@@ -304,7 +304,7 @@ def test_criterion_8_pinned_synthetic_benchmark(tmp_path):
         ),
         gbt=GbtConfig(
             n_rounds=100, shrinkage=0.1,
-            tree=TreeConfig(max_depth=10, min_gain=0.2), seed=3,
+            tree=TreeConfig(max_depth=10, min_gain=0.2),
         ),
     )
     result = run_experiment(config)
@@ -342,7 +342,7 @@ def test_criterion_9_run_determinism(tmp_path):
             granularity=60,
             split=SplitSpec("monthly"),
             forest=ForestConfig(n_trees=5, tree=TreeConfig(max_depth=5), seed=8),
-            gbt=GbtConfig(n_rounds=15, tree=TreeConfig(max_depth=5), seed=8),
+            gbt=GbtConfig(n_rounds=15, tree=TreeConfig(max_depth=5)),
         )
         return run_experiment(config)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from loadcast.blend import EnsembleWeights, fit_weights, predict_blend_many
 from loadcast.errors import DataError
+from loadcast.experiment import dump_json
 
 
 def blend_one(weights, predictions):
@@ -139,6 +141,6 @@ def test_convexity_and_betweenness():
 
 def test_serialization_roundtrip():
     w = weights_from_rmses({"rf": 2.0, "gbt": 3.0})
-    restored = EnsembleWeights.from_text(w.to_text())
+    restored = EnsembleWeights(**json.loads(dump_json(w)))
     assert restored.weights == w.weights
     assert restored.validation_rmse == w.validation_rmse

@@ -2,11 +2,13 @@
 (0, or 2/3/4 for config/data/invariant errors) and lets no exception escape."""
 import json
 import tempfile
+from datetime import date
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from loadcast.cli import main
+from loadcast.experiment import PREDICTION_COLUMNS
 
 EXIT_CODES = {0, 2, 3, 4}
 # tiny models: one tree, one round, shallow, so each example runs in
@@ -138,5 +140,59 @@ def test_compare_on_malformed_reports(document, as_csv):
         {"reports.json": document},
         lambda root: ["compare", str(root / "reports.json"),
                       *(["--csv"] if as_csv else [])],
+    )
+    assert code in EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# week anchors and synth start dates near both ends of the calendar
+
+_EDGE_DATES = (date(1, 1, 1), date(1, 1, 2), date(2015, 1, 1), date(9999, 12, 24),
+               date(9999, 12, 25), date(9999, 12, 31))
+_DATE = st.sampled_from(_EDGE_DATES) | st.dates()
+# test rows at both ends of the calendar, so windows there are not empty
+_PREDICTIONS = ",".join(PREDICTION_COLUMNS).encode() + b"\n" + b"".join(
+    b"%s,1.0,2.0,3.0,4.0\n" % stamp.encode()
+    for stamp in ("0001-01-01T00:00", "2015-01-01T00:00", "2015-01-01T01:00",
+                  "2015-01-03T12:00", "9999-12-31T23:00")
+)
+_ANCHOR = st.one_of(
+    st.tuples(
+        _DATE.map(date.isoformat),
+        st.sampled_from(("", "T00:00", "T23:59:59.999999", " 12:00", "T12")),
+        st.sampled_from(("", "", "Z", "+00:00", "+01:00", "-05:30", "+24:00")),
+    ).map("".join),
+    st.sampled_from(("", "garbage", "2015-13-01", "2015-02-30", "0000-12-31",
+                     "10000-01-01", "2015-01-01T25:00", "2015-1-1", "2015-01-01T")),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_ANCHOR)
+def test_week_on_edge_and_malformed_anchors(anchor):
+    code = _run(
+        {"predictions.csv": _PREDICTIONS},
+        # --anchor=...: an anchor that starts with "-" stays a value
+        lambda root: ["week", "--predictions", str(root / "predictions.csv"),
+                      f"--anchor={anchor}", "--out", str(root / "week.csv")],
+    )
+    assert code in EXIT_CODES
+
+
+_START = st.one_of(
+    st.dates(max_value=date(1, 1, 10)).map(date.isoformat),
+    st.dates(min_value=date(9999, 12, 22)).map(date.isoformat),
+    st.sampled_from(("0000-12-31", "10000-01-01", "9999-12-32", "0001-00-01")),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_START, st.integers(1, 3))
+def test_synth_near_the_calendar_ends(start, days):
+    code = _run(
+        {},
+        lambda root: ["synth", "--start", start, "--days", str(days),
+                      "--meters", "1", "--out", str(root / "x.csv")],
     )
     assert code in EXIT_CODES

@@ -210,17 +210,26 @@ class TestSerialization:
             restored.predict_many(probe), model.predict_many(probe)
         )
         assert dump_model(restored) == dump_model(model)
-        # a gbt.json written without the GBT seed loads with the default seed
+
+    def test_gbt_json_with_the_retired_seed_loads(self):
+        # gbt.json files written while GbtConfig still had a (never read)
+        # seed hold it in their config block; they load to the same model
+        rng = np.random.default_rng(7)
+        X, y = random_dataset(rng)
+        model = fit_gbt(X, y, GbtConfig(n_rounds=3))
         doc = json.loads(dump_model(model))
-        del doc["config"]["seed"]
-        assert load_model(json.dumps(doc)).config == model.config
+        assert "seed" not in doc["config"]
+        doc["config"]["seed"] = 4
+        restored = load_model(json.dumps(doc))
+        assert restored.config == model.config
+        assert dump_model(restored) == dump_model(model)
 
     def test_config_blocks_are_the_dataclass_fields(self):
         rng = np.random.default_rng(8)
         X, y = random_dataset(rng)
         tree = TreeConfig(max_depth=3, min_samples_split=4, gain_mode="absolute")
         forest = fit_forest(X, y, ForestConfig(n_trees=2, tree=tree, seed=9))
-        gbt = fit_gbt(X, y, GbtConfig(n_rounds=2, tree=tree, seed=4))
+        gbt = fit_gbt(X, y, GbtConfig(n_rounds=2, tree=tree))
         for model in (forest, gbt):
             doc = json.loads(dump_model(model))
             assert doc["config"] == dataclasses.asdict(model.config)

@@ -12,15 +12,18 @@ import pytest
 import loadcast
 from loadcast import experiment
 from loadcast.cli import main
-from loadcast.ensembles import ForestConfig, GbtConfig, load_model
+from loadcast.blend import EnsembleWeights
+from loadcast.ensembles import ForestConfig, GbtConfig, dump_model, load_model
 from loadcast.errors import ConfigError, DataError, InvariantError
 from loadcast.experiment import (
     PREDICTION_COLUMNS,
     ExperimentConfig,
+    dump_json,
     emit_week_series,
     run_experiment,
 )
 from loadcast.features import build_samples
+from loadcast.metrics import MetricsReport
 from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from loadcast.scaling import Scaler
 from loadcast.splitting import SplitSpec, split
@@ -68,6 +71,29 @@ class TestRunExperiment:
             result.reports["gradient_boosting"].rmse,
         )
         assert blend <= worst + 1e-9
+
+    @pytest.mark.parametrize("scaler", ["minmax", "maxabs"])
+    def test_artifacts_reload_to_the_same_bytes(self, small_input, tmp_path, scaler):
+        # one serialization: each JSON artifact holds its object's fields, so
+        # loading it through its class and dumping it again gives its bytes
+        result = run_experiment(
+            small_config(small_input, tmp_path / "out", scaler=scaler)
+        )
+        assert result.files["scaler"].name == "scaler.json"
+
+        def load_reports(text):
+            return {k: MetricsReport.from_dict(v) for k, v in json.loads(text).items()}
+
+        round_trips = {
+            "forest": (load_model, dump_model),
+            "gbt": (load_model, dump_model),
+            "weights": (lambda text: EnsembleWeights(**json.loads(text)), dump_json),
+            "scaler": (lambda text: Scaler(**json.loads(text)), dump_json),
+            "reports": (load_reports, dump_json),
+        }
+        for name, (load, dump) in round_trips.items():
+            text = result.files[name].read_text()
+            assert dump(load(text)) == text, name
 
     def test_prediction_csv_schema(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
@@ -147,14 +173,16 @@ class TestRunExperiment:
         config = small_config(
             small_input, tmp_path / "out",
             forest=ForestConfig(n_trees=2, tree=tree, seed=1),
-            gbt=GbtConfig(n_rounds=3, tree=tree, seed=5),
+            gbt=GbtConfig(n_rounds=3, tree=tree),
         )
         run_config = json.loads(run_experiment(config).files["config"].read_text())
         names = {f.name for f in dataclasses.fields(TreeConfig)}
         for model in ("forest", "gbt"):
             assert set(run_config[model]["tree"]) == names
             assert run_config[model]["tree"]["min_samples_split"] == 3
-        assert run_config["gbt"]["seed"] == 5
+        # --seed seeds the forest only; boosting draws nothing
+        assert run_config["forest"]["seed"] == 1
+        assert "seed" not in run_config["gbt"]
 
     @pytest.mark.parametrize(
         "lags, offsets, match",
@@ -194,7 +222,7 @@ class TestRunExperiment:
             aggregate(readings, Granularity(config.granularity)), config.lag_offsets
         )
         _, test = split(samples, config.split)
-        scaler = Scaler.from_text(result.files["scaler"].read_text())
+        scaler = Scaler(**json.loads(result.files["scaler"].read_text()))
         X_test = scaler.transform(samples.X[test])
         with result.files["predictions"].open() as fh:
             rows = list(csv.DictReader(fh))
@@ -206,13 +234,10 @@ class TestRunExperiment:
 
     def test_scaler_fitted_on_training_only(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
-        scaler_text = result.files["scaler"].read_text()
+        scaler = json.loads(result.files["scaler"].read_text())
         # day_of_year range stops where training data stops: 30-day input,
         # ordered split, validation tail inside training
-        stats = dict(
-            line.split(" = ") for line in scaler_text.splitlines() if "=" in line
-        )
-        assert float(stats["day_of_year.max"]) < 30
+        assert scaler["hi"][scaler["feature_names"].index("day_of_year")] < 30
 
     def test_validation_fraction_bounds(self, small_input, tmp_path):
         with pytest.raises(ConfigError):
@@ -311,7 +336,7 @@ class TestCli:
         assert main(["run", "--input", str(data), "--out-dir", str(out)]) == 0
         written = json.loads((out / "run_config.json").read_text())
         default = ExperimentConfig(input_path=str(data), out_dir=str(out))
-        assert written == json.loads(json.dumps(default.as_dict()))
+        assert written == json.loads(dump_json(default))
 
     def test_synth_defaults_come_from_the_spec(self, tmp_path):
         one_day = dataclasses.replace(SyntheticSpec(), days=1)
@@ -396,6 +421,16 @@ def _error_case(name, tmp_path):
         preds.write_text(",".join(PREDICTION_COLUMNS) + "\ngarbage,1,1,1,1\n")
         return ["week", "--predictions", str(preds), "--anchor", "2015-01-01",
                 "--out", str(tmp_path / "w.csv")]
+    if name.startswith("week-anchor-"):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text(",".join(PREDICTION_COLUMNS) + "\n2015-11-01T00:00,1,1,1,1\n")
+        anchor = {"week-anchor-utc-offset": "2015-11-01T00:00+01:00",
+                  "week-anchor-past-9999": "9999-12-30"}[name]
+        return ["week", "--predictions", str(preds), "--anchor", anchor,
+                "--out", str(tmp_path / "w.csv")]
+    if name == "synth-past-date-max":
+        return ["synth", "--start", "9999-12-30", "--days", "5",
+                "--out", str(tmp_path / "x.csv")]
     if name == "input-is-directory":
         return ["run", "--input", str(tmp_path), "--out-dir", str(tmp_path / "o")]
     if name == "input-not-utf8":
@@ -451,6 +486,9 @@ def _error_case(name, tmp_path):
         ("gbt-min-gain-inf", 2),
         ("synth-non-finite-noise-std", 2),
         ("synth-non-finite-base-kw", 2),
+        ("week-anchor-utc-offset", 2),
+        ("week-anchor-past-9999", 2),
+        ("synth-past-date-max", 2),
     ],
 )
 def test_failure_exit_codes_without_traceback(tmp_path, name, code):
@@ -461,3 +499,5 @@ def test_failure_exit_codes_without_traceback(tmp_path, name, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    # a failing synth or week writes nothing
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "w.csv").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,4 +165,4 @@ def test_tied_models_both_best():
 
 def test_report_dict_roundtrip():
     r = _report(1.5, 1.0, 0.5, None)
-    assert MetricsReport.from_dict(r.as_dict()) == r
+    assert MetricsReport.from_dict(dataclasses.asdict(r)) == r

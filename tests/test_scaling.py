@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from loadcast.errors import ConfigError, SchemaError
+from loadcast.experiment import dump_json
 from loadcast.scaling import Scaler, fit_scaler
 
 
@@ -11,12 +14,12 @@ def col(values):
 
 def test_minmax_fit_stats():
     s = fit_scaler(col([0, 5, 10]), ["a"], "minmax")
-    assert s.stats["a"] == (0.0, 10.0)
+    assert (s.lo, s.hi) == ([0.0], [10.0])
 
 
 def test_maxabs_fit_stats():
     s = fit_scaler(col([-4, 2]), ["a"], "maxabs")
-    assert s.stats["a"] == (4.0,)
+    assert (s.lo, s.hi) == ([0.0], [4.0])
 
 
 def test_minmax_transform():
@@ -38,7 +41,7 @@ def test_out_of_range_value_not_clipped():
 
 def test_constant_feature_maps_to_zero():
     s = fit_scaler(col([7, 7]), ["a"], "minmax")
-    assert s.stats["a"] == (7.0, 7.0)
+    assert (s.lo, s.hi) == ([7.0], [7.0])
     assert s.transform(col([7, 9]))[:, 0].tolist() == [0.0, 0.0]
     # inverse of a degenerate feature restores the constant
     assert s.inverse_transform(col([0.0]))[0, 0] == 7.0
@@ -51,6 +54,25 @@ def test_passthrough_features_untouched():
     assert out[:, 1].tolist() == [2.0, 3.0]
     assert out[:, 2].tolist() == [1.0, 0.0]
     assert out[:, 0].tolist() == [0.0, 1.0]
+    assert (s.lo[1:], s.hi[1:]) == ([0.0, 0.0], [1.0, 1.0])
+
+
+def test_affine_map_keeps_the_bits_of_each_kind():
+    # minmax is (x - min) / (max - min), maxabs x / max|x| and a pass-through
+    # column is returned as it is, bit for bit (-0.0 included)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-30, 30, (40, 3))
+    X[0, 1] = -0.0
+    names = ["a", "season", "b"]
+    minmax = fit_scaler(X, names, "minmax").transform(X)
+    maxabs = fit_scaler(X, names, "maxabs").transform(X)
+    for j in (0, 2):
+        col = X[:, j]
+        expected = (col - col.min()) / (col.max() - col.min())
+        assert minmax[:, j].tobytes() == expected.tobytes()
+        assert maxabs[:, j].tobytes() == (col / np.abs(col).max()).tobytes()
+    for out in (minmax, maxabs):
+        assert out[:, 1].tobytes() == X[:, 1].tobytes()
 
 
 def test_schema_mismatch():
@@ -86,8 +108,6 @@ def test_text_serialization_roundtrip():
     X = rng.uniform(-50, 50, (20, 3))
     for kind in ("minmax", "maxabs"):
         s = fit_scaler(X, ["a", "b", "c"], kind)
-        restored = Scaler.from_text(s.to_text())
-        assert restored.kind == s.kind
-        assert restored.feature_names == s.feature_names
-        assert restored.stats == s.stats
+        restored = Scaler(**json.loads(dump_json(s)))
+        assert restored == s
         np.testing.assert_array_equal(restored.transform(X), s.transform(X))
