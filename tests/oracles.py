@@ -346,3 +346,45 @@ def split_rows(stamps, strategy, train_fraction, season=None):
         seen[k] = rank + 1
         (train if rank < take[k] else test).append(i)
     return train, test
+
+
+# ---------------------------------------------------------------------------
+# synthetic CSV, one csv.writer row at a time
+
+
+def row_by_row_synthetic(spec, out_path):
+    """The CSV the row-by-row writer wrote for `spec`: the same per-day
+    draws (noise, then nulls when `null_rate > 0`), each cell formatted
+    with `f"{v:.3f}"` and each minute written as one `csv.writer` row.
+    `synthetic.generate_synthetic` must write the same bytes."""
+    rng = np.random.default_rng(spec.seed)
+    minutes = np.arange(1440)
+    daily_wave = spec.daily_amplitude * np.sin(2 * np.pi * minutes / 1440.0)
+    time_strings = [f"{m // 60:02d}:{m % 60:02d}" for m in minutes]
+
+    with out_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp"] + [f"meter_{j + 1}" for j in range(spec.meters)])
+        for d in range(spec.days):
+            day = spec.start + timedelta(days=d)
+            doy = day.timetuple().tm_yday
+            seasonal = spec.seasonal_amplitude * np.sin(2 * np.pi * doy / 365.0)
+            weekly = -spec.weekly_amplitude if day.weekday() >= 5 else spec.weekly_amplitude
+            level = spec.base_kw + seasonal + weekly + daily_wave
+            values = level[:, None] + rng.normal(0.0, spec.noise_std, (1440, spec.meters))
+            np.clip(values, 0.0, None, out=values)
+            nulls = (
+                rng.random((1440, spec.meters)) < spec.null_rate
+                if spec.null_rate > 0
+                else None
+            )
+            day_str = day.isoformat()
+            for m in range(1440):
+                row = [f"{day_str}T{time_strings[m]}"]
+                for j in range(spec.meters):
+                    if nulls is not None and nulls[m, j]:
+                        row.append("")
+                    else:
+                        row.append(f"{values[m, j]:.3f}")
+                writer.writerow(row)
+    return out_path
