@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 from .tree import (
     TreeConfig,
     fit_tree,
-    grow_tree,
+    grow_level_wise,
     presort,
     tree_from_dict,
     tree_to_dict,
@@ -133,7 +133,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
     trees = []
     for _ in range(config.n_rounds):
         residuals = y - pred
-        tree, fitted = grow_tree(X, residuals, order, config.tree)
+        tree, fitted = grow_level_wise(X, residuals, order, config.tree)
         pred = pred + config.shrinkage * fitted
         trees.append(tree)
     return GbtModel(base_score=base, trees=trees, config=config)

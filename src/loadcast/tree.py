@@ -7,12 +7,21 @@ Routing: feature value <= threshold goes left.
 
 Each column is sorted once per fit (`presort`), not once per node. A node
 holds its rows in ascending order and, for every column, the same rows in
-that column's stable sort order; its children inherit both through one flag
-per row, so the order is kept and nothing is sorted again. `best_split`
-scores all drawn features of a node in one array pass over those presorted
-rows. Ties break to the lowest feature, then the lowest threshold. The trees
-are bit for bit those of a grower that argsorts every node's rows and scans
-each cut in turn (`tests/oracles.py` keeps it as the reference).
+that column's stable sort order, and the children inherit both in order, so
+nothing is sorted again. Two growers build the same trees:
+
+- `grow_tree` grows depth-first, left child first, and splits a node's rows
+  between its children through one flag per row. The forest uses it: its
+  per-node feature draws come from one RNG stream in depth-first order.
+- `grow_level_wise` grows breadth-first, all nodes of a depth at once: one
+  stable sort by node id regroups the presorted rows, and `_best_cuts`
+  scores every splittable node in a few padded passes. Boosting uses it: it
+  draws no features, so growth order changes nothing but the time.
+
+`best_split` is the one-node case of `_best_cuts`. Ties break to the lowest
+feature, then the lowest threshold. The trees are bit for bit those of a
+grower that argsorts every node's rows and scans each cut in turn
+(`tests/oracles.py` keeps it as the reference).
 """
 from __future__ import annotations
 
@@ -26,6 +35,10 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 
 GAIN_MODES = ("relative", "absolute")
+# cells (nodes x features x largest node) of one padded scoring pass of the
+# level-wise grower: bounds its transient arrays, about ten of this many
+# floats, and the padding it scores in vain
+LEVEL_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -120,13 +133,12 @@ def best_split(
     The node is `rows`, its indices into X and y in ascending order, with
     `order = presort(X)` narrowed to the same rows: row f of the
     (features, rows) matrix lists them in the stable sort order of column f.
-    Pass both or neither; without them the node is every row and the
-    columns are sorted here.
+    Without `order` it is sorted here; without both the node is every row.
+    An `order` without its `rows` is a ConfigError.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. The drawn features are scored in one pass: a
-    running sum along each presorted row gives every cut's child sums, added
-    in the same order as a per-feature scan would add them. Returns None when
+    values of each feature. The drawn features are scored in one pass of
+    `_best_cuts`, the one-node case of the level scorer. Returns None when
     the parent variance is zero or no candidate has positive gain. Ties break
     to the lowest feature_id, then the lowest threshold: the first maximum
     over (sorted feature, cut position), as an ascending scan that keeps
@@ -134,8 +146,13 @@ def best_split(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if rows is None:
+        if order is not None:
+            raise ConfigError("best_split: order was given without its rows")
+        rows = np.arange(len(y))
+    rows = np.asarray(rows, dtype=np.intp)
     if order is None:
-        rows, order = np.arange(len(y)), presort(X)
+        order = rows[presort(X[rows])]
     n = len(rows)
     if n < 2:
         return None
@@ -152,31 +169,64 @@ def best_split(
         fids = np.arange(X.shape[1])
     else:
         fids = np.sort(np.asarray(feature_ids, dtype=np.intp))
+    if len(fids) == 0:
+        return None
     idx = order[fids]
     xs = X[idx, fids[:, None]]
-    ys = y[idx]
-    cy = ys.cumsum(axis=1)
-    cy2 = (ys * ys).cumsum(axis=1)
-    # column j is the cut after sorted position j: n_l = j + 1 rows go left.
-    # Sums of squares are never -0.0, so np.maximum(., 0.0) is max(., 0.0).
-    n_l = np.arange(1, n)
-    left, left2 = cy[:, :-1], cy2[:, :-1]
-    sse_l = np.maximum(left2 - left * left / n_l, 0.0)
-    right = cy[:, -1:] - left
-    sse_r = np.maximum((cy2[:, -1:] - left2) - right * right / (n - n_l), 0.0)
-    gain = (sse_parent - sse_l - sse_r) / n
-    usable = (xs[:, 1:] > xs[:, :-1]) & (gain > 0.0)
-    if not usable.any():
+    gain, f, j = _best_cuts(xs[None], y[idx][None], np.array([n]), np.array([sse_parent]))
+    best = gain[0]
+    if best == -np.inf:
         return None
-    gain[~usable] = -np.inf
-    f, j = divmod(int(gain.argmax()), n - 1)
-    best = gain[f, j]
+    f, j = int(f[0]), int(j[0])
     return SplitCandidate(
         feature_id=int(fids[f]),
         threshold=float((xs[f, j] + xs[f, j + 1]) / 2),
         gain=float(best),
         relative_gain=float(best / var_parent),
     )
+
+
+def _best_cuts(
+    xs: np.ndarray, ys: np.ndarray, n: np.ndarray, sse_parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best cut of each of k nodes, scored in one array pass.
+
+    `xs` and `ys` are (k, features, width): the feature values and targets
+    of each node's rows in the sort order of each feature. A node of n < width
+    rows fills positions n and on with its last row again. `n` and
+    `sse_parent` hold each node's size and sum of squared deviations.
+    Returns (gain, f, j) per node: the best variance reduction (-inf when no
+    cut has positive gain), its feature index f into the features axis and
+    its cut j, between sorted positions j and j + 1.
+
+    A running sum along each sorted row gives every cut's child sums, added
+    in the order a per-feature scan adds them; `cumsum` adds sequentially, so
+    the padding changes no bits of a node's prefixes, and its totals are read
+    at its own n - 1. The padded cuts fall between equal values and are
+    masked with the ties.
+    """
+    k, _, width = xs.shape
+    nodes = np.arange(k)
+    cy = ys.cumsum(axis=2)
+    cy2 = (ys * ys).cumsum(axis=2)
+    total = cy[nodes, :, n - 1][:, :, None]
+    total2 = cy2[nodes, :, n - 1][:, :, None]
+    nn = n[:, None, None]
+    # column j is the cut after sorted position j: n_l = j + 1 rows go left.
+    # Sums of squares are never -0.0, so np.maximum(., 0.0) is max(., 0.0).
+    n_l = np.arange(1, width)
+    left, left2 = cy[:, :, :-1], cy2[:, :, :-1]
+    sse_l = np.maximum(left2 - left * left / n_l, 0.0)
+    right = total - left
+    # past a node's end n - n_l <= 0; 1 keeps those masked cuts finite
+    n_r = np.maximum(nn - n_l, 1)
+    sse_r = np.maximum((total2 - left2) - right * right / n_r, 0.0)
+    gain = (sse_parent[:, None, None] - sse_l - sse_r) / nn
+    usable = (xs[:, :, 1:] > xs[:, :, :-1]) & (gain > 0.0)
+    flat = np.where(usable, gain, -np.inf).reshape(k, -1)
+    best = flat.argmax(axis=1)
+    f, j = np.divmod(best, width - 1)
+    return flat[nodes, best], f, j
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -234,17 +284,122 @@ def grow_tree(
     return RegressionTree(root=root, n_features=X.shape[1]), fitted
 
 
+def grow_level_wise(
+    X: np.ndarray, y: np.ndarray, order: np.ndarray, config: TreeConfig
+) -> tuple[RegressionTree, np.ndarray]:
+    """`grow_tree` without a feature sampler, grown breadth-first: the same
+    (tree, fitted), bit for bit, from a few array passes per depth.
+
+    Every row carries the id of its node at the current depth. Each depth
+    stable-sorts the rows of `order`, and the rows themselves, by node id, so
+    that each node is one column segment, its rows in each feature's sort
+    order and in ascending order. Nodes of equal size sum their targets as
+    one (nodes, n) matrix, which keeps the pairwise-sum bits of
+    `y[rows].sum()`. The splittable nodes are scored by `_best_cuts` in
+    padded passes of nodes of similar size, and one comparison per row sends
+    the rows of split nodes to their children.
+    """
+    n_rows, p = X.shape
+    fitted = np.empty(n_rows)
+    y2 = y * y
+    features = np.arange(p)[:, None]
+    # row p lists the rows in ascending order, segmented like the columns
+    lists = np.vstack([order, np.arange(n_rows)])
+    node_of = np.zeros(n_rows, dtype=np.intp)  # -1 once the row is in a leaf
+    sizes = np.array([n_rows])
+    top = Internal(feature_id=-1, threshold=0.0, left=None, right=None)
+    slots = [(top, "left")]  # where each node of the depth hangs
+    for depth in range(config.max_depth + 1):
+        k = len(sizes)
+        starts = np.cumsum(sizes) - sizes
+        rows = lists[p]
+        by_size = np.argsort(sizes, kind="stable")
+        edges = (np.flatnonzero(np.diff(sizes[by_size])) + 1).tolist()
+        sy, sy2 = np.empty(k), np.empty(k)
+        for a, b in zip([0, *edges], [*edges, k]):
+            same = by_size[a:b]
+            at = rows[starts[same, None] + np.arange(sizes[same[0]])]
+            sy[same] = y[at].sum(axis=1)
+            sy2[same] = y2[at].sum(axis=1)
+        sse = np.maximum(sy2 - sy * sy / sizes, 0.0)
+        var = sse / sizes
+
+        metric = np.full(k, -np.inf)
+        feature = np.zeros(k, dtype=np.intp)
+        threshold = np.zeros(k)
+        if depth < config.max_depth and p:
+            todo = by_size[(sizes[by_size] >= config.min_samples_split) & (var[by_size] > 0.0)]
+            for batch in _passes(sizes[todo], p):
+                ks = todo[batch]
+                n = sizes[ks]
+                # positions past a node's end repeat its last row
+                at = starts[ks, None] + np.minimum(np.arange(n[-1]), n[:, None] - 1)
+                idx = lists[:p, at].transpose(1, 0, 2)
+                xs = X[idx, features]
+                gain, f, j = _best_cuts(xs, y[idx], n, sse[ks])
+                metric[ks] = gain / var[ks] if config.gain_mode == "relative" else gain
+                feature[ks] = f
+                nodes = np.arange(len(ks))
+                threshold[ks] = (xs[nodes, f, j] + xs[nodes, f, j + 1]) / 2
+        split = metric >= config.min_gain
+
+        value = sy / sizes
+        row_node = np.repeat(np.arange(k), sizes)
+        in_leaf = ~split[row_node]
+        fitted[rows[in_leaf]] = value[row_node[in_leaf]]
+        next_slots = []
+        for (parent, side), s, f, t, v, n in zip(
+            slots, split.tolist(), feature.tolist(), threshold.tolist(),
+            value.tolist(), sizes.tolist(),
+        ):
+            if s:
+                node = Internal(feature_id=f, threshold=t, left=None, right=None)
+                next_slots += [(node, "left"), (node, "right")]
+            else:
+                node = Leaf(value=v, n_samples=n)
+            setattr(parent, side, node)
+        if not next_slots:
+            break
+
+        # children of the i-th split node are 2i (left) and 2i + 1 (right)
+        left_id = 2 * np.cumsum(split) - 2
+        goes_left = X[rows, feature[row_node]] <= threshold[row_node]
+        child = left_id[row_node] + ~goes_left
+        sizes = np.bincount(child[~in_leaf])
+        node_of[rows] = np.where(in_leaf, -1, child)
+        by_node = np.argsort(node_of[lists], axis=1, kind="stable")
+        lists = np.take_along_axis(lists, by_node, axis=1)[:, np.count_nonzero(in_leaf):]
+        slots = next_slots
+    return RegressionTree(root=top.left, n_features=p), fitted
+
+
+def _passes(sizes: np.ndarray, p: int) -> list:
+    """Index runs of `sizes` (ascending), each padded to its largest size
+    within LEVEL_CELLS cells of p features; a node larger than that alone."""
+    runs, first = [], 0
+    for i, n in enumerate(sizes.tolist()):
+        if i > first and (i - first + 1) * p * n > LEVEL_CELLS:
+            runs.append(slice(first, i))
+            first = i
+    if len(sizes):
+        runs.append(slice(first, len(sizes)))
+    return runs
+
+
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     config: Optional[TreeConfig] = None,
     feature_sampler: Optional[Callable[[], Sequence[int]]] = None,
 ) -> RegressionTree:
-    """Greedy recursive growth; leaves carry the mean target of their samples.
+    """One greedy tree, grown depth-first by `grow_tree`; leaves carry the
+    mean target of their samples.
 
     `feature_sampler`, when given, supplies the candidate feature subset for
-    each node (used by the forest for per-node feature subsampling). The
-    columns of X are sorted once, for the whole tree.
+    each node (used by the forest for per-node feature subsampling), drawn in
+    depth-first order. Boosting grows its trees level by level instead
+    (`grow_level_wise`), to the same trees. The columns of X are sorted once,
+    for the whole tree.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -14,6 +14,7 @@ from loadcast.tree import (
     best_split,
     dump_tree,
     fit_tree,
+    grow_level_wise,
     grow_tree,
     load_tree,
     presort,
@@ -53,6 +54,9 @@ class TestBestSplit:
         X = np.array([[1.0], [1.0], [1.0]])
         assert best_split(X, np.array([0.0, 1.0, 2.0])) is None
 
+    def test_no_feature_no_split(self):
+        assert best_split(FOUR_POINT_X, FOUR_POINT_Y, feature_ids=[]) is None
+
     def test_restricted_feature_set(self):
         X = np.column_stack([FOUR_POINT_X[:, 0], np.array([0.0, 1.0, 0.0, 1.0])])
         cand = best_split(X, FOUR_POINT_Y, feature_ids=[1])
@@ -73,6 +77,25 @@ class TestBestSplit:
             else:
                 assert cand is not None
                 assert (cand.feature_id, cand.threshold, cand.gain) == expected
+
+    def test_rows_without_order_score_only_those_rows(self):
+        rows = [0, 1, 2]
+        got = best_split(FOUR_POINT_X, FOUR_POINT_Y, rows=rows)
+        assert got == best_split(FOUR_POINT_X[rows], FOUR_POINT_Y[rows])
+        assert got.gain == pytest.approx(200 / 9)  # the 4-row split gains 25
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 4, (40, 3)).astype(float)
+        y = rng.normal(0, 5, 40)
+        rows = np.flatnonzero(rng.random(40) < 0.5)
+        order = presort(X)
+        narrowed = order[np.isin(order, rows)].reshape(3, -1)
+        got = best_split(X, y, rows=rows)
+        assert got == best_split(X, y, rows=rows, order=narrowed)
+        assert got == best_split(X[rows], y[rows])
+
+    def test_order_without_rows_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="without its rows"):
+            best_split(FOUR_POINT_X, FOUR_POINT_Y, order=presort(FOUR_POINT_X))
 
     def test_gain_positive_and_relative_bounded(self):
         rng = np.random.default_rng(9)
@@ -288,3 +311,36 @@ class TestGrowerOracle:
         X, y, config, seed, k = problem
         tree, fitted = grow_tree(X, y, presort(X), config, _sampler(seed, X.shape[1], k))
         assert fitted.tobytes() == tree.predict_many(X).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tree_problems())
+    def test_level_wise_grower_is_the_depth_first_one(self, problem):
+        X, y, config, _, _ = problem
+        _assert_same_growth(X, y, config)
+
+    def test_level_wise_grower_on_larger_samples(self):
+        # past numpy's 8-wide and 128-row pairwise-sum blocks, with levels of
+        # unequal nodes and more padded cells than one scoring pass holds
+        rng = np.random.default_rng(2024)
+        for n, p in ((300, 3), (700, 6)):
+            X = rng.integers(0, 12, (n, p)).astype(float)
+            X[:, 0] = rng.normal(0, 1, n)
+            y = rng.normal(50, 20, n) + 5 * X[:, 1]
+            for config in (
+                TreeConfig(),
+                TreeConfig(max_depth=10, min_gain=0.0),
+                TreeConfig(max_depth=6, min_gain=0.01, min_samples_split=5,
+                           gain_mode="absolute"),
+            ):
+                _assert_same_growth(X, y, config)
+
+    def test_level_wise_grower_without_features(self):
+        _assert_same_growth(np.empty((4, 0)), FOUR_POINT_Y, TreeConfig())
+
+
+def _assert_same_growth(X, y, config):
+    order = presort(X)
+    want, want_fitted = grow_tree(X, y, order, config)
+    got, got_fitted = grow_level_wise(X, y, order, config)
+    assert dump_tree(got) == dump_tree(want)
+    assert got_fitted.tobytes() == want_fitted.tobytes()
