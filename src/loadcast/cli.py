@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: synth (generate data), run (full experiment), week (extract a
-weekly prediction slice), compare (render a table from saved reports). Any
-flag can come from a flat key=value config file via --config; explicit flags
-win. LOADCAST_OUT_DIR supplies the default output directory.
+weekly prediction slice), compare (render a table from saved reports). Each
+`key = value` line of a --config file becomes the flag `--key=value` (a
+switch, `--key` or `--no-key`), placed before the command line's own flags,
+so explicit flags win. LOADCAST_OUT_DIR supplies the default output
+directory.
 """
 from __future__ import annotations
 
@@ -31,13 +33,14 @@ EXIT_INTERNAL = 4
 ENV_OUT_DIR = "LOADCAST_OUT_DIR"
 
 
-def _load_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
-    values = {}
+def _load_config_file(path) -> list:
+    """(line number, key, value) of each flat `key = value` line; '#' starts
+    a comment, and '-' in a key reads as '_'."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    entries = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -45,31 +48,34 @@ def _load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"config file line {line_no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        entries.append((line_no, key.strip().replace("-", "_"), value.strip()))
+    return entries
 
 
-class _Resolver:
-    """Fallback chain: explicit CLI flag -> config file -> built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = (
-            _load_config_file(self.args["config"]) if self.args.get("config") else {}
-        )
-
-    def get(self, key, cast=str):
-        """The value of `key`, or None when neither source gives one."""
-        cli_value = self.args.get(key)
-        if cli_value is not None:
-            return cli_value
-        if key in self.file:
-            raw = self.file[key]
-            try:
-                return cast(raw)
-            except (ValueError, TypeError):
-                raise ConfigError(f"config file: bad value for {key}: {raw!r}")
-        return None
+def _config_flags(args, parser) -> list:
+    """The lines of `args.config` as flags of `args.command`. Each key must
+    be the exact name of one of the command's options."""
+    known = set(vars(args)) - {"command", "func", "config"}
+    # the command's subparser; argparse has no public lookup for it
+    options = parser._subparsers._group_actions[0].choices[args.command]._actions
+    switches = {a.dest for a in options if isinstance(a, argparse.BooleanOptionalAction)}
+    flags = []
+    for line_no, key, value in _load_config_file(args.config):
+        if key not in known:
+            raise ConfigError(
+                f"config file line {line_no}: {args.command} has no option {key!r}"
+            )
+        flag = "--" + key.replace("_", "-")
+        if key not in switches:
+            flags.append(f"{flag}={value}")
+            continue
+        try:
+            flags.append(flag if _parse_bool(value) else "--no-" + flag[2:])
+        except ValueError:
+            raise ConfigError(
+                f"config file line {line_no}: {key} must be yes or no, got {value!r}"
+            )
+    return flags
 
 
 def _given(**values) -> dict:
@@ -84,8 +90,6 @@ def _field_default(cls, name):
 
 
 def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
     if text.lower() in ("1", "true", "yes", "on"):
         return True
     if text.lower() in ("0", "false", "no", "off"):
@@ -95,7 +99,7 @@ def _parse_bool(text) -> bool:
 
 def _parse_offsets(text):
     try:
-        return tuple(int(t) for t in str(text).split(",") if t.strip())
+        return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise ConfigError(
             f"lag offsets must be comma-separated integers, got {text!r}"
@@ -103,20 +107,16 @@ def _parse_offsets(text):
 
 
 def _split_spec(name, train_fraction) -> SplitSpec:
-    """The split named on the command line; without a name, the strategy of
-    the default ExperimentConfig."""
+    """The split named on the command line."""
     fraction = _given(train_fraction=train_fraction)
-    if name is None:
-        return SplitSpec(_field_default(ExperimentConfig, "split").strategy, **fraction)
     if name.startswith("season:"):
         return SplitSpec("single_season", season=name.split(":", 1)[1], **fraction)
-    alias = {"ordered": "ordered", "seasonal": "seasonal", "monthly": "monthly"}
-    if name not in alias:
+    if name not in ("ordered", "seasonal", "monthly"):
         raise ConfigError(
             f"unknown split {name!r}; expected ordered, seasonal, monthly, "
             "or season:<winter|spring|summer|autumn>"
         )
-    return SplitSpec(alias[name], **fraction)
+    return SplitSpec(name, **fraction)
 
 
 def _iso_date(text) -> date:
@@ -126,82 +126,55 @@ def _iso_date(text) -> date:
         raise ConfigError(f"bad date {text!r}; expected YYYY-MM-DD")
 
 
-def _default_out_dir() -> str:
-    return os.environ.get(ENV_OUT_DIR, ".")
-
-
 def cmd_synth(args) -> int:
-    r = _Resolver(args)
-    start = r.get("start")
-    spec = SyntheticSpec(**_given(
-        start=None if start is None else _iso_date(start),
-        days=r.get("days", int),
-        meters=r.get("meters", int),
-        base_kw=r.get("base_kw", float),
-        daily_amplitude=r.get("daily_amplitude", float),
-        weekly_amplitude=r.get("weekly_amplitude", float),
-        seasonal_amplitude=r.get("seasonal_amplitude", float),
-        noise_std=r.get("noise_std", float),
-        null_rate=r.get("null_rate", float),
-        seed=r.get("seed", int),
-    ))
-    out = r.get("out")
-    if out is None:
-        out = Path(_default_out_dir()) / "synthetic.csv"
+    # each SyntheticSpec field is the synth option of the same name
+    spec = SyntheticSpec(**_given(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)
+    }))
     try:
-        path = generate_synthetic(spec, out)
+        path = generate_synthetic(spec, args.out)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}")
+        raise ConfigError(f"cannot write {args.out}: {exc}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    r = _Resolver(args)
-    input_path = r.get("input")
-    if input_path is None:
+    if args.input is None:
         raise ConfigError("run needs --input (or input in the config file)")
-    out_dir = r.get("out_dir")
-    if out_dir is None:
-        out_dir = _default_out_dir()
-    gain_mode = r.get("gain_mode")
-    rf_tree = TreeConfig(**_given(
-        max_depth=r.get("rf_depth", int),
-        min_gain=r.get("rf_min_gain", float),
-        gain_mode=gain_mode,
-    ))
-    gbt_tree = TreeConfig(**_given(
-        max_depth=r.get("gbt_depth", int),
-        min_gain=r.get("gbt_min_gain", float),
-        gain_mode=gain_mode,
-    ))
-    scaler = r.get("scaler")
-    lag_offsets = r.get("lag_offsets")
     options = _given(
-        granularity=r.get("granularity", int),
-        scaler=scaler,
-        lags=r.get("lags", _parse_bool),
-        lag_offsets=_parse_offsets(lag_offsets) if lag_offsets else None,
-        validation_fraction=r.get("validation_fraction", float),
-        mad_mode=r.get("mad_mode"),
+        granularity=args.granularity,
+        scaler=args.scaler,
+        lags=args.lags,
+        lag_offsets=args.lag_offsets,
+        validation_fraction=args.validation_fraction,
+        mad_mode=args.mad_mode,
     )
-    if scaler == "none":
+    if args.scaler == "none":
         options["scaler"] = None
     config = ExperimentConfig(
-        input_path=input_path,
-        out_dir=out_dir,
-        split=_split_spec(r.get("split"), r.get("train_fraction", float)),
+        input_path=args.input,
+        out_dir=args.out_dir,
+        split=_split_spec(args.split, args.train_fraction),
         forest=ForestConfig(**_given(
-            n_trees=r.get("trees", int),
-            tree=rf_tree,
-            bootstrap=r.get("bootstrap", _parse_bool),
-            feature_fraction=r.get("feature_fraction", float),
-            seed=r.get("seed", int),
+            n_trees=args.trees,
+            tree=TreeConfig(**_given(
+                max_depth=args.rf_depth,
+                min_gain=args.rf_min_gain,
+                gain_mode=args.gain_mode,
+            )),
+            bootstrap=args.bootstrap,
+            feature_fraction=args.feature_fraction,
+            seed=args.seed,
         )),
         gbt=GbtConfig(**_given(
-            n_rounds=r.get("rounds", int),
-            shrinkage=r.get("shrinkage", float),
-            tree=gbt_tree,
+            n_rounds=args.rounds,
+            shrinkage=args.shrinkage,
+            tree=TreeConfig(**_given(
+                max_depth=args.gbt_depth,
+                min_gain=args.gbt_min_gain,
+                gain_mode=args.gain_mode,
+            )),
         )),
         **options,
     )
@@ -212,21 +185,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_week(args) -> int:
-    r = _Resolver(args)
-    predictions = r.get("predictions")
-    if predictions is None:
+    if args.predictions is None:
         raise ConfigError("week needs --predictions")
-    anchor_text = r.get("anchor")
-    if anchor_text is None:
+    if args.anchor is None:
         raise ConfigError("week needs --anchor (ISO date or datetime)")
     try:
-        anchor = datetime.fromisoformat(anchor_text)
+        anchor = datetime.fromisoformat(args.anchor)
     except ValueError:
-        raise ConfigError(f"bad anchor {anchor_text!r}")
-    out = r.get("out")
-    if out is None:
-        out = Path(_default_out_dir()) / "week.csv"
-    path = emit_week_series(predictions, anchor, out)
+        raise ConfigError(f"bad anchor {args.anchor!r}")
+    path = emit_week_series(args.predictions, anchor, args.out)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -256,11 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Short-term energy consumption forecasting toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_dir = os.environ.get(ENV_OUT_DIR, ".")
 
     synth = sub.add_parser("synth", help="generate synthetic minute-level data")
     synth.add_argument("--config", help="flat key=value config file")
-    synth.add_argument("--out", help="output CSV path")
-    synth.add_argument("--start", help="first day, ISO date")
+    synth.add_argument(
+        "--out", default=Path(out_dir) / "synthetic.csv", help="output CSV path"
+    )
+    synth.add_argument("--start", type=_iso_date, help="first day, ISO date")
     synth.add_argument("--days", type=int)
     synth.add_argument("--meters", type=int)
     synth.add_argument("--base-kw", dest="base_kw", type=float)
@@ -275,27 +245,24 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a full train/evaluate experiment")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--input", help="minute-level readings CSV")
-    run.add_argument("--out-dir", dest="out_dir")
+    run.add_argument("--out-dir", dest="out_dir", default=out_dir)
     run.add_argument("--granularity", type=int, help="bucket width in minutes")
     run.add_argument(
-        "--split",
+        "--split", default=_field_default(ExperimentConfig, "split").strategy,
         help="ordered | seasonal | monthly | season:<winter|spring|summer|autumn>",
     )
     run.add_argument("--train-fraction", dest="train_fraction", type=float)
     run.add_argument("--scaler", choices=["minmax", "maxabs", "none"])
-    run.add_argument("--lags", dest="lags", action="store_const", const=True)
-    run.add_argument("--no-lags", dest="lags", action="store_const", const=False)
-    run.add_argument("--lag-offsets", dest="lag_offsets", help="comma-separated buckets")
+    run.add_argument("--lags", action=argparse.BooleanOptionalAction)
+    run.add_argument(
+        "--lag-offsets", dest="lag_offsets", type=_parse_offsets,
+        help="comma-separated buckets",
+    )
     run.add_argument("--trees", type=int, help="forest size")
     run.add_argument("--rf-depth", dest="rf_depth", type=int)
     run.add_argument("--rf-min-gain", dest="rf_min_gain", type=float)
     run.add_argument("--feature-fraction", dest="feature_fraction", type=float)
-    run.add_argument(
-        "--bootstrap", dest="bootstrap", action="store_const", const=True
-    )
-    run.add_argument(
-        "--no-bootstrap", dest="bootstrap", action="store_const", const=False
-    )
+    run.add_argument("--bootstrap", action=argparse.BooleanOptionalAction)
     run.add_argument("--rounds", type=int, help="boosting rounds")
     run.add_argument("--shrinkage", type=float)
     run.add_argument("--gbt-depth", dest="gbt_depth", type=int)
@@ -312,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     week.add_argument("--config", help="flat key=value config file")
     week.add_argument("--predictions", help="predictions.csv from a run")
     week.add_argument("--anchor", help="window start, ISO date or datetime")
-    week.add_argument("--out", help="output CSV path")
+    week.add_argument(
+        "--out", default=Path(out_dir) / "week.csv", help="output CSV path"
+    )
     week.set_defaults(func=cmd_week)
 
     compare = sub.add_parser("compare", help="render a table from saved reports")
@@ -325,9 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags first, then the command line's own, which win
+            flags = _config_flags(args, parser)
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *flags, *rest])
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

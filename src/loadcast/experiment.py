@@ -168,22 +168,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"bound {bound}"
         )
 
-    files = _stage(
-        "write-output",
-        _write_outputs,
-        config,
-        samples.timestamps[test],
-        y_test,
-        pred_rf,
-        pred_gbt,
-        pred_blend,
-        forest,
-        gbt,
-        weights,
-        scaler,
-        reports,
-        table,
-    )
+    texts = {
+        "predictions": ("predictions.csv", _predictions_csv(
+            samples.timestamps[test], y_test, pred_rf, pred_gbt, pred_blend
+        )),
+        "metrics_csv": ("metrics.csv", table.to_csv()),
+        "metrics_txt": ("metrics.txt", table.to_text()),
+        "reports": ("reports.json", dump_json(reports)),
+        "forest": ("forest.json", dump_model(forest)),
+        "gbt": ("gbt.json", dump_model(gbt)),
+        "weights": ("blend_weights.json", dump_json(weights)),
+    }
+    if scaler is not None:
+        texts["scaler"] = ("scaler.json", dump_json(scaler))
+    texts["config"] = ("run_config.json", dump_json(config))
+    files = _stage("write-output", _write_outputs, config.out_dir, texts)
     return ExperimentResult(
         reports=reports,
         table=table,
@@ -191,10 +190,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         out_dir=config.out_dir,
         files=files,
     )
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
 
 
 def dump_json(obj) -> str:
@@ -208,51 +203,22 @@ def dump_json(obj) -> str:
     )
 
 
-def _write_outputs(
-    config,
-    test_timestamps,
-    y_test,
-    pred_rf,
-    pred_gbt,
-    pred_blend,
-    forest,
-    gbt,
-    weights,
-    scaler,
-    reports,
-    table,
-):
+def _predictions_csv(timestamps, *columns) -> str:
+    """The prediction CSV: one row per test point, each value as `repr`."""
     rows = io.StringIO()
     writer = csv.writer(rows)
     writer.writerow(PREDICTION_COLUMNS)
-    stamps = np.datetime_as_string(test_timestamps, unit="m")
-    for t, a, r, g, b in zip(stamps, y_test, pred_rf, pred_gbt, pred_blend):
-        writer.writerow(
-            [
-                t,
-                _format_float(a),
-                _format_float(r),
-                _format_float(g),
-                _format_float(b),
-            ]
-        )
+    for stamp, *values in zip(np.datetime_as_string(timestamps, unit="m"), *columns):
+        writer.writerow([stamp, *(repr(float(v)) for v in values)])
+    return rows.getvalue()
 
-    texts = {
-        "predictions": ("predictions.csv", rows.getvalue()),
-        "metrics_csv": ("metrics.csv", table.to_csv()),
-        "metrics_txt": ("metrics.txt", table.to_text()),
-        "reports": ("reports.json", dump_json(reports)),
-        "forest": ("forest.json", dump_model(forest)),
-        "gbt": ("gbt.json", dump_model(gbt)),
-        "weights": ("blend_weights.json", dump_json(weights)),
-    }
-    if scaler is not None:
-        texts["scaler"] = ("scaler.json", dump_json(scaler))
-    texts["config"] = ("run_config.json", dump_json(config))
 
+def _write_outputs(out_dir: Path, texts: dict) -> dict:
+    """Writes each {name: (filename, text)} entry to out_dir and returns
+    {name: path}."""
     files = {}
     for name, (filename, text) in texts.items():
-        path = files[name] = config.out_dir / filename
+        path = files[name] = out_dir / filename
         try:
             # newline="": the text is written as built, CSV line ends included
             path.write_text(text, newline="")

@@ -45,11 +45,6 @@ def season_of_month(month: int) -> str:
     return _MONTH_TO_SEASON[month]
 
 
-def season_year(year: int, month: int) -> int:
-    """December belongs to the following year's winter."""
-    return year + 1 if month == 12 else year
-
-
 @dataclass(frozen=True, eq=False)
 class Samples:
     """Featurized buckets as columns.

@@ -76,6 +76,59 @@ def test_run_on_malformed_csv(header, kept, edits, flags):
 
 
 # ---------------------------------------------------------------------------
+# command-line tokens
+
+# each group is rejected by the parser on its own (exit 2), or prints the
+# help (exit 0); either way before any input is read or output written
+_INT_FLAGS = {"run": ("--trees", "--rounds", "--granularity", "--rf-depth", "--seed"),
+              "synth": ("--days", "--meters", "--seed")}
+_FLOAT_FLAGS = {"run": ("--shrinkage", "--rf-min-gain", "--train-fraction"),
+                "synth": ("--base-kw", "--noise-std", "--null-rate")}
+_BAD_INTS = ("x", "", " ", "1.5", "1e3", "0x10", "nan")
+_BAD_FLOATS = ("x", "", " ", "1,5", "0x1p3", "nan%")
+_ODD_TOKENS = ("--tress", "--bogus=1", "-x", "extra", "--lags=yes", "--help", "-h")
+
+
+def _bad_group(command):
+    return st.one_of(
+        st.tuples(st.sampled_from(_INT_FLAGS[command]), st.sampled_from(_BAD_INTS)),
+        st.tuples(st.sampled_from(_FLOAT_FLAGS[command]), st.sampled_from(_BAD_FLOATS)),
+        # a typed flag without its value: the next token is a flag, or none
+        st.sampled_from(_INT_FLAGS[command] + _FLOAT_FLAGS[command]).map(lambda f: (f,)),
+        st.sampled_from(_ODD_TOKENS).map(lambda t: (t,)),
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("run", "synth")))
+    groups = {
+        "run": [("--input", "absent.csv"), ("--out-dir", "out"), *zip(TINY[::2], TINY[1::2])],
+        "synth": [("--days", "1"), ("--meters", "1"), ("--out", "out")],
+    }[command]
+    for _ in range(draw(st.integers(1, 3))):
+        groups.insert(draw(st.integers(0, len(groups))), draw(_bad_group(command)))
+    return [command, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_malformed_command_lines(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        # the input does not exist, and any output would land in tmp
+        argv = [str(Path(tmp) / t) if t in ("absent.csv", "out") else t for t in argv]
+        assert main(argv) in {0, 2}
+        assert list(Path(tmp).iterdir()) == []
+
+
+def test_usage_errors_return_the_exit_code():
+    assert main(["run", "--input", "x", "--trees", "x"]) == 2
+    assert main(["run", "--help"]) == 0
+    assert main([]) == 2
+    assert main(["bogus"]) == 2
+
+
+# ---------------------------------------------------------------------------
 # config-file lines
 
 _GOOD_CSV = b"timestamp,a,b\n" + b"".join(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date, datetime
@@ -271,6 +272,10 @@ class TestWeekSeries:
             )
 
 
+# one shallow tree and one round: each run takes milliseconds
+TINY_MODELS = ["--trees", "1", "--rounds", "1", "--rf-depth", "2", "--gbt-depth", "2"]
+
+
 class TestCli:
     def test_synth_run_week_compare(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -399,6 +404,84 @@ class TestCli:
                      "--rf-depth", "3", "--gbt-depth", "3"]) == 0
         run_config = json.loads((out / "run_config.json").read_text())
         assert run_config["granularity"] == 120
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("run", "tress"), ("run", "days"), ("synth", "trees"), ("run", "tree")],
+    )
+    def test_config_key_must_name_an_option(self, tmp_path, capsys, command, key):
+        # "tree" would prefix-match --trees if it were passed on as a flag
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(days=14, meters=1, seed=4), data)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"seed = 1\n{key} = 3\n")
+        out = tmp_path / "out"
+        flags = {
+            "run": ["--input", str(data), "--out-dir", str(out), *TINY_MODELS],
+            "synth": ["--days", "1", "--meters", "1", "--out", str(out)],
+        }[command]
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: config file line 2: {command} has no option {key!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("trees = x", "argument --trees: invalid int value: 'x'"),
+            ("scaler = z", "argument --scaler: invalid choice: 'z'"),
+            ("lags = maybe", "config file line 2: lags must be yes or no, got 'maybe'"),
+            ("lag_offsets = 1,x", "lag offsets must be comma-separated integers"),
+        ],
+    )
+    def test_bad_config_value_is_reported_like_the_flag(self, tmp_path, capsys,
+                                                        line, message):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--input", str(tmp_path / "x.csv"),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switches_and_flags_that_win(self, tmp_path):
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(days=14, meters=1, seed=4), data)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("lags = yes\nbootstrap = off\ngranularity = 60\nsplit = ordered\n")
+        written = {}
+        for name, flags in (("file", []), ("flags", ["--no-lags", "--bootstrap"])):
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--input", str(data),
+                         "--out-dir", str(out), *TINY_MODELS, *flags]) == 0
+            written[name] = json.loads((out / "run_config.json").read_text())
+        assert written["file"]["lags"] is True
+        assert written["file"]["lag_offsets"] == [24, 48, 168]
+        assert written["file"]["forest"]["bootstrap"] is False
+        assert written["flags"]["lags"] is False
+        assert written["flags"]["forest"]["bootstrap"] is True
+
+    def test_readme_config_block_runs(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = tmp_path / "paper.cfg"
+        cfg.write_text(block)
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(days=62, meters=1, seed=4), data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--input", str(data),
+                     "--out-dir", str(out), *TINY_MODELS]) == 0
+        # every line of the block took effect, except those the flags override
+        expected = ExperimentConfig(
+            input_path=data, out_dir=out, granularity=1440,
+            split=SplitSpec("monthly", train_fraction=0.8), lags=False,
+            forest=ForestConfig(n_trees=1, seed=3,
+                                tree=TreeConfig(max_depth=2, min_gain=0.2)),
+            gbt=GbtConfig(n_rounds=1, shrinkage=0.1,
+                          tree=TreeConfig(max_depth=2, min_gain=0.2)),
+        )
+        assert (out / "run_config.json").read_text() == dump_json(expected)
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOADCAST_OUT_DIR", str(tmp_path))

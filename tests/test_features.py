@@ -12,7 +12,6 @@ from loadcast.features import (
     default_lag_offsets,
     feature_names,
     season_of_month,
-    season_year,
 )
 from loadcast.readings import Granularity, Readings
 
@@ -80,11 +79,6 @@ def test_season_mapping():
     }
     for month, season in expected.items():
         assert season_of_month(month) == season
-
-
-def test_december_belongs_to_next_winter():
-    assert season_year(2015, 12) == 2016
-    assert season_year(2015, 1) == 2015
 
 
 def test_calendar_against_independent_oracle():
