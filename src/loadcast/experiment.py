@@ -103,17 +103,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}")
 
+    def unreadable(exc):
+        return DataError(f"cannot read input {config.input_path}: {exc}")
+
     def read_input():
         if not config.input_path.exists():
             raise DataError(f"input file not found: {config.input_path}")
         try:
-            return config.input_path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read input {config.input_path}: {exc}")
+            return config.input_path.read_bytes()
+        except OSError as exc:
+            raise unreadable(exc)
 
     _stage("out-dir", make_out_dir)
-    text = _stage("read-input", read_input)
-    readings = _stage("parse", parse_readings, text)
+    try:
+        # no name holds the input's bytes, so they are freed once parsed
+        readings = _stage("parse", parse_readings, _stage("read-input", read_input))
+    except UnicodeDecodeError as exc:  # parse_readings checks for UTF-8 first
+        raise DataError(f"[read-input] {unreadable(exc)}")
     readings = _stage("interpolate", interpolate_nulls, readings)
     buckets = _stage("aggregate", aggregate, readings, granularity)
     samples = _stage("features", build_samples, buckets, config.lag_offsets)

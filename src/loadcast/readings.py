@@ -10,6 +10,7 @@ failed.
 """
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -80,10 +81,13 @@ _MALFORMED, _NON_FINITE, _NEGATIVE = 1, 2, 3
 _CELL_PROBLEMS = {
     _MALFORMED: "malformed", _NON_FINITE: "non-finite", _NEGATIVE: "negative"
 }
+# input bytes parsed at a time, cut back to the last whole line: bounds the
+# per-line positions and per-cell byte matrices held next to the output
+BLOCK_BYTES = 1 << 20
 
 
-def parse_readings(csv_text: str) -> Readings:
-    """Parse a readings CSV into columns.
+def parse_readings(data: bytes | str) -> Readings:
+    """Parse a readings CSV, given as its UTF-8 bytes, into columns.
 
     Rows are separated by newlines (a CRLF or a lone CR counts as one), cells
     by commas, without quoting. Blank lines are skipped. A timestamp is
@@ -92,31 +96,103 @@ def parse_readings(csv_text: str) -> Readings:
     empty or whitespace is a null. A file without data rows is rejected. Row
     numbers in error messages count the header as row 1 and include blank
     lines.
+
+    A str is encoded once. Bytes that are not UTF-8 raise UnicodeDecodeError,
+    positioned as decoding the whole input would position it. The data rows
+    are parsed in blocks of whole lines of about BLOCK_BYTES each, into
+    arrays sized once from the line count; a block's line ends are made
+    newlines in a copy of that block only. So beside the input and the
+    result only one block's temporaries are held. The first error in file
+    order is the one raised.
     """
-    if "\r" in csv_text:
-        csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
-    if not csv_text:
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    else:
+        _check_utf8(data)
+    if not data:
         raise DataError("empty input: missing header row")
-    end = csv_text.find("\n")
-    header = (csv_text if end < 0 else csv_text[:end]).split(",")
+    header_end = _line_end(data, 0)
+    header = data[:header_end].decode("utf-8", "surrogatepass").split(",")
     if header[0].strip() != "timestamp":
         raise DataError("header must start with a 'timestamp' column")
     n_cols = len(header)
     if n_cols < 2:
         raise DataError("header declares no meter columns")
 
-    buf = np.frombuffer(csv_text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # one row at most per line after the header, the final empty one aside
+    breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    most = breaks - data.endswith((b"\n", b"\r"))
+    timestamps = np.empty(most, dtype="datetime64[us]")
+    values = np.empty((most, n_cols - 1))
+    n = 0
+    line = 1  # index of the block's first line; the header is line 0
+    pos = _next_line(data, header_end)
+    while pos < len(data):
+        cut = len(data)
+        if pos + BLOCK_BYTES < len(data):
+            # the block ends at its last line break, the CR of a CRLF if so
+            stop = pos + BLOCK_BYTES
+            cut = max(data.rfind(b"\n", pos, stop), data.rfind(b"\r", pos, stop))
+            if cut < 0:  # a line longer than a block is a block of its own
+                cut = _line_end(data, stop)
+            elif cut > pos and data[cut - 1 : cut + 1] == b"\r\n":
+                cut -= 1
+        if data.find(b"\r", pos, cut) < 0:
+            block = np.frombuffer(data, np.uint8, cut - pos, pos)
+        else:
+            text = data[pos:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            block = np.frombuffer(text, np.uint8)
+        last = timestamps[n - 1] if n else np.datetime64("NaT")
+        rows, lines = _parse_block(block, line, n_cols, last, timestamps[n:], values[n:])
+        n += rows
+        line += lines
+        pos = _next_line(data, cut)
+    if not n:
+        raise DataError("no data rows after the header")
+    return Readings(timestamps[:n], values[:n])
+
+
+def _line_end(data: bytes, start: int) -> int:
+    """Index of the first line break (CR or LF) at or after `start`, or the
+    input's length."""
+    ends = [i for i in (data.find(b"\n", start), data.find(b"\r", start)) if i >= 0]
+    return min(ends, default=len(data))
+
+
+def _next_line(data: bytes, end: int) -> int:
+    """Start of the line after the one ending at `end`; a CRLF is one break."""
+    return end + 1 + (data[end : end + 2] == b"\r\n")
+
+
+def _check_utf8(data: bytes) -> None:
+    """Raise UnicodeDecodeError unless `data` is UTF-8: ASCII at once,
+    anything else decoded a block at a time, and on failure as a whole, so
+    that the error's position counts from the start."""
+    if data.isascii():
+        return
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for start in range(0, len(data), BLOCK_BYTES):
+            decoder.decode(data[start : start + BLOCK_BYTES])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        data.decode("utf-8")
+        raise
+
+
+def _parse_block(buf, first_line, n_cols, last, timestamps, values) -> tuple:
+    """Parse `buf`, whole lines without the last one's newline, into the
+    first rows of `timestamps` and `values`; return the numbers of rows and
+    of lines, blank ones included. `first_line` is the index of the block's
+    first line in the file and `last` the timestamp of the row before the
+    block (NaT for none). Raises the block's first error."""
     newlines = np.flatnonzero(buf == ord("\n"))
     line_start = np.concatenate(([0], newlines + 1))
     line_end = np.concatenate((newlines, [buf.size]))
-    data_lines = np.flatnonzero(line_end > line_start)
-    lines = data_lines[data_lines > 0]  # line index; its row number is index + 1
-    if not lines.size:
-        raise DataError("no data rows after the header")
+    lines = np.flatnonzero(line_end > line_start)  # row number: first_line + index + 1
     start, end = line_start[lines], line_end[lines]
 
     commas = np.flatnonzero(buf == ord(","))
-    commas = commas[np.searchsorted(commas, line_end[0]) :]
     fields = np.searchsorted(commas, end) - np.searchsorted(commas, start) + 1
     ragged = np.flatnonzero(fields != n_cols)
     # rows before the first ragged one are a rectangle; check those first,
@@ -125,23 +201,24 @@ def parse_readings(csv_text: str) -> Readings:
     bounds = commas[: n * (n_cols - 1)].reshape(n, n_cols - 1)
     start, end = start[:n], end[:n]
 
-    timestamps = _parse_timestamps(buf, start, bounds[:, 0] - start)
-    values = np.empty((n, n_cols - 1))
+    stamps = timestamps[:n]
+    stamps[:] = _parse_timestamps(buf, start, bounds[:, 0] - start)
     problem = np.empty((n, n_cols - 1), dtype=np.int8)
     for j in range(n_cols - 1):
         cell_start = bounds[:, j] + 1
         cell_end = bounds[:, j + 1] if j + 2 < n_cols else end
-        values[:, j], problem[:, j] = _parse_cells(
+        values[:n, j], problem[:, j] = _parse_cells(
             buf, cell_start, cell_end - cell_start
         )
 
-    bad_timestamp = np.isnat(timestamps)
-    non_monotonic = np.zeros(n, dtype=bool)
-    non_monotonic[1:] = timestamps[1:] <= timestamps[:-1]
+    bad_timestamp = np.isnat(stamps)
+    non_monotonic = np.empty(n, dtype=bool)
+    non_monotonic[:1] = stamps[:1] <= last
+    non_monotonic[1:] = stamps[1:] <= stamps[:-1]
     bad = bad_timestamp | non_monotonic | problem.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        row = int(lines[i]) + 1
+        row = first_line + int(lines[i]) + 1
         if bad_timestamp[i]:
             raise _timestamp_error(row, buf[start[i] : bounds[i, 0]])
         if non_monotonic[i]:
@@ -151,10 +228,10 @@ def parse_readings(csv_text: str) -> Readings:
         raise DataError(f"{kind} reading at row {row}, column {col + 1}")
     if ragged.size:
         raise DataError(
-            f"inconsistent column count at row {int(lines[n]) + 1}: "
+            f"inconsistent column count at row {first_line + int(lines[n]) + 1}: "
             f"expected {n_cols}, got {int(fields[n])}"
         )
-    return Readings(timestamps, values)
+    return n, len(line_start)
 
 
 def _gather(buf, start, length, width):

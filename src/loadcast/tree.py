@@ -297,14 +297,19 @@ def grow_level_wise(
     one (nodes, n) matrix, which keeps the pairwise-sum bits of
     `y[rows].sum()`. The splittable nodes are scored by `_best_cuts` in
     padded passes of nodes of similar size, and one comparison per row sends
-    the rows of split nodes to their children.
+    the rows of split nodes to their children. Columns of a single value are
+    neither scored nor regrouped.
     """
-    n_rows, p = X.shape
+    n_rows, n_features = X.shape
     fitted = np.empty(n_rows)
     y2 = y * y
-    features = np.arange(p)[:, None]
+    # a column of one value has no usable cut, so scoring only the others
+    # finds the same first best cut
+    varying = np.flatnonzero((X != X[:1]).any(axis=0))
+    p = len(varying)
+    features = varying[:, None]
     # row p lists the rows in ascending order, segmented like the columns
-    lists = np.vstack([order, np.arange(n_rows)])
+    lists = np.vstack([order[varying], np.arange(n_rows)])
     node_of = np.zeros(n_rows, dtype=np.intp)  # -1 once the row is in a leaf
     sizes = np.array([n_rows])
     top = Internal(feature_id=-1, threshold=0.0, left=None, right=None)
@@ -338,7 +343,7 @@ def grow_level_wise(
                 xs = X[idx, features]
                 gain, f, j = _best_cuts(xs, y[idx], n, sse[ks])
                 metric[ks] = gain / var[ks] if config.gain_mode == "relative" else gain
-                feature[ks] = f
+                feature[ks] = varying[f]
                 nodes = np.arange(len(ks))
                 threshold[ks] = (xs[nodes, f, j] + xs[nodes, f, j + 1]) / 2
         split = metric >= config.min_gain
@@ -370,7 +375,7 @@ def grow_level_wise(
         by_node = np.argsort(node_of[lists], axis=1, kind="stable")
         lists = np.take_along_axis(lists, by_node, axis=1)[:, np.count_nonzero(in_leaf):]
         slots = next_slots
-    return RegressionTree(root=top.left, n_features=p), fitted
+    return RegressionTree(root=top.left, n_features=n_features), fitted
 
 
 def _passes(sizes: np.ndarray, p: int) -> list:

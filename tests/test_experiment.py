@@ -25,6 +25,7 @@ from loadcast.experiment import (
 )
 from loadcast.features import build_samples
 from loadcast.metrics import MetricsReport
+from loadcast import readings as readings_module
 from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from loadcast.scaling import Scaler
 from loadcast.splitting import SplitSpec, split
@@ -240,6 +241,19 @@ class TestRunExperiment:
         # ordered split, validation tail inside training
         assert scaler["hi"][scaler["feature_names"].index("day_of_year")] < 30
 
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r"])
+    def test_line_ends_give_the_same_artifacts(self, small_input, tmp_path, line_end):
+        # synth writes CRLF; an LF or a lone-CR copy must give the same bytes
+        data = small_input.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") > 1000
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(data.replace(b"\r\n", line_end))
+        want = run_experiment(small_config(small_input, tmp_path / "crlf"))
+        got = run_experiment(small_config(copy, tmp_path / "copy"))
+        del want.files["config"]  # run_config.json names the input
+        for name, path in want.files.items():
+            assert got.files[name].read_bytes() == path.read_bytes(), name
+
     def test_validation_fraction_bounds(self, small_input, tmp_path):
         with pytest.raises(ConfigError):
             small_config(small_input, tmp_path / "out", validation_fraction=0.6)
@@ -356,6 +370,23 @@ class TestCli:
         assert main(["run", "--input", str(data), "--out-dir", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             "data error: [parse] no data rows after the header\n"
+        )
+
+    def test_input_not_utf8_past_the_first_block(self, tmp_path, capsys):
+        # the byte sits in a later parse block, after a row with a negative
+        # reading: the input is still rejected as unreadable, with the
+        # message and byte position of a whole-file text read
+        data = tmp_path / "late.csv"
+        generate_synthetic(SyntheticSpec(days=14, meters=6, seed=3), data)
+        lines = data.read_bytes().split(b"\n")
+        lines[2] = lines[2].split(b",")[0] + b",-1" * 6
+        data.write_bytes(b"\n".join(lines) + b"\xff\n")
+        assert data.stat().st_size > readings_module.BLOCK_BYTES
+        with pytest.raises(UnicodeDecodeError) as text_read:
+            data.read_text()
+        assert main(["run", "--input", str(data), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: [read-input] cannot read input {data}: {text_read.value}\n"
         )
 
     def test_data_error_exit_code(self, tmp_path):

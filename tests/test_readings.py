@@ -1,7 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loadcast import readings as readings_module
 from loadcast.errors import ConfigError, DataError
 from loadcast.readings import (
     Granularity,
@@ -182,6 +186,10 @@ _ROW = st.tuples(
 
 
 def _render(rows):
+    return "\n".join(_lines(rows)) + "\n"
+
+
+def _lines(rows):
     lines = ["timestamp,a,b"]
     minute = 0
     for kind, fmt, bad, cells in rows:
@@ -193,7 +201,7 @@ def _render(rows):
         stamp = _BAD_TIMESTAMPS[bad] if kind == "bad" else _FORMATS[fmt](ts)
         cells = {"short": cells[:1], "long": cells + ["1"]}.get(kind, cells)
         lines.append(",".join([stamp] + cells))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 class TestParseProperties:
@@ -232,6 +240,95 @@ class TestParseProperties:
         assert (np.diff(readings.timestamps) > np.timedelta64(0, "us")).all()
         known = readings.values[~np.isnan(readings.values)]
         assert (np.isfinite(known) & (known >= 0)).all()
+
+
+def _outcome(data):
+    """A parse's arrays as bytes, or its DataError message."""
+    try:
+        readings = parse_readings(data)
+    except DataError as exc:
+        return str(exc)
+    return readings.timestamps.tobytes(), readings.values.tobytes(), readings.values.shape
+
+
+def _minute_csv(rows, meters=6, seed=5) -> bytes:
+    rng = np.random.default_rng(seed)
+    stamps = np.datetime64("2015-01-01T00:00") + np.arange(rows)
+    lines = ["timestamp," + ",".join(f"m{j + 1}" for j in range(meters))] + [
+        ",".join([stamp, *(f"{v:.3f}" for v in row)])
+        for stamp, row in zip(
+            np.datetime_as_string(stamps, unit="m").tolist(),
+            rng.uniform(0, 150, (rows, meters)).tolist(),
+        )
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestBlocks:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(_ROW, max_size=12),
+        st.lists(st.sampled_from(("\n", "\n", "\r\n", "\r")), min_size=13, max_size=13),
+        st.booleans(),
+        st.integers(1, 40),
+    )
+    def test_small_blocks_parse_as_one_block(self, rows, endings, final_newline, block):
+        # blank lines, CRLF and lone CR, ragged rows, bad cells and
+        # timestamps, and repeated timestamps land on block edges
+        lines = _lines(rows)
+        text = "".join(line + end for line, end in zip(lines, endings))
+        if not final_newline:
+            text = text[: -len(endings[len(lines) - 1])]
+        data = text.encode()
+        whole = _outcome(data)
+        with mock.patch.object(readings_module, "BLOCK_BYTES", block):
+            assert _outcome(data) == whole
+        assert _outcome(text) == whole  # a str parses as its UTF-8 bytes
+
+    def test_block_edges_on_a_large_input(self):
+        data = _minute_csv(3000)
+        whole = _outcome(data)
+        for block in (1, 59, 60, 61, 4096):
+            with mock.patch.object(readings_module, "BLOCK_BYTES", block):
+                assert _outcome(data) == whole
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
+    def test_peak_memory_is_the_result_and_a_few_blocks(self, monkeypatch, line_end):
+        # the input's bytes are allocated before tracing starts; the parse
+        # itself holds the result and one block's temporaries, where a
+        # whole-input parse held position arrays and byte matrices of every
+        # row (about six times the input)
+        block = 1 << 16
+        data = _minute_csv(60_000).replace(b"\n", line_end)
+        assert len(data) > 50 * block
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            readings = parse_readings(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = readings.timestamps.nbytes + readings.values.nbytes
+        assert peak < result + 16 * block
+
+    def test_not_utf8_in_a_later_block(self, monkeypatch):
+        good = _minute_csv(200)
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", 64)
+        for bad in (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"):
+            data = good + b"2015-01-02T00:00,1," + bad
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            with pytest.raises(UnicodeDecodeError) as info:
+                parse_readings(data)
+            assert str(info.value) == str(whole.value)
+            assert info.value.start > 64
+
+    def test_utf8_beyond_ascii(self, monkeypatch):
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", 8)
+        data = "timestamp,zähler,m²\n2015-01-01T00:00,1,2\n".encode()
+        assert len(parse_readings(data)) == 1
+        with pytest.raises(DataError, match="^malformed reading at row 3, column 1$"):
+            parse_readings(data + "2015-01-01T00:01,1é,2\n".encode())
 
 
 class TestGranularity:

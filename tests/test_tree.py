@@ -284,6 +284,14 @@ def _tree_problems(draw):
     return np.array(distinct)[picks], np.array(y), config, seed, k
 
 
+# constant columns to insert: (position, value), as a daily run's year, hour
+# and half-hour columns are constant over its training rows
+_CONSTANT_COLUMNS = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from((0.0, 1.0, 2015.0, None))),
+    max_size=3,
+)
+
+
 def _sampler(seed, p, k):
     """Per-node feature draws: k of p features, in no particular order."""
     if seed is None:
@@ -313,9 +321,14 @@ class TestGrowerOracle:
         assert fitted.tobytes() == tree.predict_many(X).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_tree_problems())
-    def test_level_wise_grower_is_the_depth_first_one(self, problem):
+    @given(_tree_problems(), _CONSTANT_COLUMNS)
+    def test_level_wise_grower_is_the_depth_first_one(self, problem, constants):
         X, y, config, _, _ = problem
+        for at, value in constants:
+            # None: a column of 0.0 and -0.0, equal values of two signs
+            column = (np.where(np.arange(len(y)) % 2, 0.0, -0.0) if value is None
+                      else np.full(len(y), value))
+            X = np.insert(X, min(at, X.shape[1]), column, axis=1)
         _assert_same_growth(X, y, config)
 
     def test_level_wise_grower_on_larger_samples(self):
