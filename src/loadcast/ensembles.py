@@ -17,6 +17,7 @@ from .tree import (
     TreeConfig,
     fit_tree,
     grow_level_wise,
+    predict_trees,
     presort,
     tree_from_dict,
     tree_to_dict,
@@ -52,12 +53,9 @@ class ForestModel:
         return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        # trees added in order, then divided: np.mean would sum the trees of a
-        # single row pairwise and give other bits than the same row in a batch
-        total = self.trees[0].predict_many(X)
-        for t in self.trees[1:]:
-            total = total + t.predict_many(X)
-        return total / len(self.trees)
+        # trees added in order (cumsum), then divided: np.mean would sum the trees
+        # of a single row pairwise and give other bits than the row in a batch
+        return predict_trees(self.trees, X).cumsum(axis=0)[-1] / len(self.trees)
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,9 @@ class GbtModel:
         return float(self.predict_many([x])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        out = np.full(len(X), self.base_score)
-        for t in self.trees:
-            out = out + self.config.shrinkage * t.predict_many(X)
-        return out
+        # the base score, then each shrunken tree, added in order
+        shrunk = self.config.shrinkage * predict_trees(self.trees, X)
+        return np.vstack([np.full(len(X), self.base_score), shrunk]).cumsum(axis=0)[-1]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -133,8 +130,8 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
     trees = []
     for _ in range(config.n_rounds):
         residuals = y - pred
-        tree, fitted = grow_level_wise(X, residuals, order, config.tree)
-        pred = pred + config.shrinkage * fitted
+        tree = grow_level_wise(X, residuals, order, config.tree)
+        pred = pred + config.shrinkage * tree.predict_many(X)
         trees.append(tree)
     return GbtModel(base_score=base, trees=trees, config=config)
 

@@ -246,31 +246,31 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
         raise ConfigError(
             f"anchor {anchor.isoformat()}: its 7-day window ends past year 9999"
         )
-    if not predictions_csv.exists():
-        raise DataError(f"prediction file not found: {predictions_csv}")
-
-    with predictions_csv.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != PREDICTION_COLUMNS:
-            raise DataError(f"unexpected prediction CSV header: {header}")
-        kept = []
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                ts = datetime.fromisoformat(row[0])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"malformed timestamp at row {row_no} of {predictions_csv}"
-                )
-            if anchor <= ts < end:
-                kept.append(row)
+    try:
+        reader = csv.reader(io.StringIO(predictions_csv.read_text()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read prediction file {predictions_csv}: {exc}")
+    header = next(reader, None)
+    if header is None or tuple(header) != PREDICTION_COLUMNS:
+        raise DataError(f"unexpected prediction CSV header: {header}")
+    kept = []
+    for row_no, row in enumerate(reader, start=2):
+        try:
+            ts = datetime.fromisoformat(row[0])
+        except (IndexError, ValueError):
+            raise DataError(
+                f"malformed timestamp at row {row_no} of {predictions_csv}"
+            )
+        if anchor <= ts < end:
+            kept.append(row)
     if not kept:
         raise DataError(
             f"empty window: no test predictions in "
             f"[{anchor.isoformat()}, {end.isoformat()})"
         )
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        writer.writerows(kept)
+    try:
+        with out_path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([PREDICTION_COLUMNS, *kept])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}")
     return out_path

@@ -3,7 +3,10 @@
 Split quality is the variance reduction Var(parent) - weighted child
 variances; a node is only split when the reduction clears the configured
 minimum gain, interpreted by default as a fraction of the parent variance.
-Routing: feature value <= threshold goes left.
+
+A fitted tree is parallel node arrays, node 0 the root, as in scikit-learn's
+`Tree`. A split node sends rows whose feature value is <= its threshold to
+node `child` and the rest, NaN included, to `child + 1`; a leaf has feature -1.
 
 Each column is sorted once per fit (`presort`), not once per node. A node
 holds its rows in ascending order and, for every column, the same rows in
@@ -16,7 +19,7 @@ nothing is sorted again. Two growers build the same trees:
 - `grow_level_wise` grows breadth-first, all nodes of a depth at once: one
   stable sort by node id regroups the presorted rows, and `_best_cuts`
   scores every splittable node in a few padded passes. Boosting uses it: it
-  draws no features, so growth order changes nothing but the time.
+  draws no features, so growth order changes nothing but time and node ids.
 
 `best_split` is the one-node case of `_best_cuts`. Ties break to the lowest
 feature, then the lowest threshold. The trees are bit for bit those of a
@@ -71,54 +74,57 @@ class SplitCandidate:
     relative_gain: float
 
 
-@dataclass
-class Leaf:
-    value: float
-    n_samples: int
-
-
-@dataclass
-class Internal:
-    feature_id: int
-    threshold: float
-    left: object
-    right: object
-
-
-@dataclass
+@dataclass(eq=False)
 class RegressionTree:
-    root: object
+    """Node arrays, node 0 the root; node i splits when feature[i] >= 0."""
+
+    feature: np.ndarray  # column tested, -1 at a leaf
+    threshold: np.ndarray  # NaN at a leaf
+    child: np.ndarray  # left child; the right one is child + 1; -1 at a leaf
+    value: np.ndarray  # a leaf's mean target, NaN at a split
+    n_samples: np.ndarray  # training rows that reached the node
     n_features: int
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise SchemaError(
-                f"expected rows of {self.n_features} features, got shape {X.shape}"
-            )
-        out = np.empty(len(X))
-        for i, x in enumerate(X.tolist()):
-            node = self.root
-            while isinstance(node, Internal):
-                node = node.left if x[node.feature_id] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return predict_trees([self], X)[0]
 
     def depth(self) -> int:
-        def d(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(self.root)
+        nodes, depth = np.zeros(1, dtype=np.intp), 0
+        while (self.feature[nodes] >= 0).any():
+            left = self.child[nodes[self.feature[nodes] >= 0]]
+            nodes = np.concatenate([left, left + 1])
+            depth += 1
+        return depth
 
     def node_count(self) -> int:
-        def c(node):
-            if isinstance(node, Leaf):
-                return 1
-            return 1 + c(node.left) + c(node.right)
+        return len(self.feature)
 
-        return c(self.root)
+
+def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
+    """(trees, rows): each tree's prediction of each row of X. The trees'
+    arrays are stacked, and every (tree, row) pair moves down at once, one
+    depth per step, so a model costs as many steps as its deepest tree."""
+    X = np.asarray(X, dtype=float)
+    if not trees:
+        return np.empty((0, len(X)))
+    if X.ndim != 2 or any(tree.n_features != X.shape[1] for tree in trees):
+        expected = trees[0].n_features
+        raise SchemaError(f"expected rows of {expected} features, got shape {X.shape}")
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, child, value = (np.concatenate([getattr(tree, name) for tree in trees])
+                                        for name in ("feature", "threshold", "child", "value"))
+    child += np.repeat(roots, sizes)  # ids within the stack
+    # pair p is row p % len(X) of tree p // len(X), and starts at that root
+    at = np.repeat(roots, len(X))
+    moving = np.flatnonzero(feature[at] >= 0)  # pairs still at a split
+    while len(moving):
+        node = at[moving]
+        # ~(x <= t), not x > t: a NaN goes right
+        right = ~(X[moving % len(X), feature[node]] <= threshold[node])
+        at[moving] = child[node] + right
+        moving = moving[feature[at[moving]] >= 0]
+    return value[at].reshape(len(trees), len(X))
 
 
 def best_split(
@@ -241,23 +247,21 @@ def grow_tree(
     order: np.ndarray,
     config: TreeConfig,
     feature_sampler: Optional[Callable[[], Sequence[int]]] = None,
-) -> tuple[RegressionTree, np.ndarray]:
-    """(tree, fitted): the tree grown on float arrays X and y, and the leaf
-    value of each training row, equal to `tree.predict_many(X)`.
+) -> RegressionTree:
+    """The tree grown on float arrays X and y.
 
     `order` is `presort(X)`, so one sort can serve every tree fitted on the
-    same X. Growth is depth-first, left child first. Each node keeps its rows
-    in ascending order and `order` narrowed to them; one flag per row, true
-    for the rows that go left, splits both between the children without
-    changing their order, so nothing is sorted again.
+    same X. Growth is depth-first, left child first; a split appends both
+    children's ids. Each node keeps its rows in ascending order and `order`
+    narrowed to them; one flag per row, true for the rows that go left,
+    splits both between the children without changing their order, so
+    nothing is sorted again.
     """
-    fitted = np.empty(len(y))
+    feature, threshold, child, value, size = [-1], [math.nan], [-1], [math.nan], [0]
     goes_left = np.zeros(len(y), dtype=bool)
 
-    def grow(rows, order, depth):
-        n = len(rows)
-        # the bits of np.mean: the same pairwise sum over y[rows], over n
-        leaf = Leaf(value=float(y[rows].sum() / n), n_samples=n)
+    def grow(node, rows, order, depth):
+        n = size[node] = len(rows)
         cand = None
         if depth < config.max_depth and n >= config.min_samples_split:
             fids = feature_sampler() if feature_sampler is not None else None
@@ -265,30 +269,32 @@ def grow_tree(
         if cand is None or (
             cand.relative_gain if config.gain_mode == "relative" else cand.gain
         ) < config.min_gain:
-            fitted[rows] = leaf.value
-            return leaf
+            # the bits of np.mean: the same pairwise sum over y[rows], over n
+            value[node] = float(y[rows].sum() / n)
+            return
         here = X[rows, cand.feature_id] <= cand.threshold
         goes_left[rows] = here
         sides = goes_left[order]
         p = len(order)
-        left_order = order[sides].reshape(p, -1)
-        right_order = order[~sides].reshape(p, -1)
-        return Internal(
-            feature_id=cand.feature_id,
-            threshold=cand.threshold,
-            left=grow(rows[here], left_order, depth + 1),
-            right=grow(rows[~here], right_order, depth + 1),
-        )
+        left = len(feature)
+        feature[node], threshold[node], child[node] = cand.feature_id, cand.threshold, left
+        for column, blank in zip((feature, threshold, child, value, size),
+                                 (-1, math.nan, -1, math.nan, 0)):
+            column.extend((blank, blank))
+        grow(left, rows[here], order[sides].reshape(p, -1), depth + 1)
+        grow(left + 1, rows[~here], order[~sides].reshape(p, -1), depth + 1)
 
-    root = grow(np.arange(len(y)), order, 0)
-    return RegressionTree(root=root, n_features=X.shape[1]), fitted
+    grow(0, np.arange(len(y)), order, 0)
+    return RegressionTree(np.array(feature), np.array(threshold), np.array(child),
+                          np.array(value), np.array(size), X.shape[1])
 
 
 def grow_level_wise(
     X: np.ndarray, y: np.ndarray, order: np.ndarray, config: TreeConfig
-) -> tuple[RegressionTree, np.ndarray]:
+) -> RegressionTree:
     """`grow_tree` without a feature sampler, grown breadth-first: the same
-    (tree, fitted), bit for bit, from a few array passes per depth.
+    tree, bit for bit, from a few array passes per depth, its nodes
+    numbered depth by depth.
 
     Every row carries the id of its node at the current depth. Each depth
     stable-sorts the rows of `order`, and the rows themselves, by node id, so
@@ -301,7 +307,6 @@ def grow_level_wise(
     neither scored nor regrouped.
     """
     n_rows, n_features = X.shape
-    fitted = np.empty(n_rows)
     y2 = y * y
     # a column of one value has no usable cut, so scoring only the others
     # finds the same first best cut
@@ -312,8 +317,8 @@ def grow_level_wise(
     lists = np.vstack([order[varying], np.arange(n_rows)])
     node_of = np.zeros(n_rows, dtype=np.intp)  # -1 once the row is in a leaf
     sizes = np.array([n_rows])
-    top = Internal(feature_id=-1, threshold=0.0, left=None, right=None)
-    slots = [(top, "left")]  # where each node of the depth hangs
+    first = 0  # id of the depth's first node
+    columns = []  # per depth: feature, threshold, child, value, n_samples
     for depth in range(config.max_depth + 1):
         k = len(sizes)
         starts = np.cumsum(sizes) - sizes
@@ -348,34 +353,24 @@ def grow_level_wise(
                 threshold[ks] = (xs[nodes, f, j] + xs[nodes, f, j + 1]) / 2
         split = metric >= config.min_gain
 
-        value = sy / sizes
-        row_node = np.repeat(np.arange(k), sizes)
-        in_leaf = ~split[row_node]
-        fitted[rows[in_leaf]] = value[row_node[in_leaf]]
-        next_slots = []
-        for (parent, side), s, f, t, v, n in zip(
-            slots, split.tolist(), feature.tolist(), threshold.tolist(),
-            value.tolist(), sizes.tolist(),
-        ):
-            if s:
-                node = Internal(feature_id=f, threshold=t, left=None, right=None)
-                next_slots += [(node, "left"), (node, "right")]
-            else:
-                node = Leaf(value=v, n_samples=n)
-            setattr(parent, side, node)
-        if not next_slots:
+        # the i-th split node's children are first + k + 2i and the id after
+        left_id = 2 * np.cumsum(split) - 2
+        columns.append((np.where(split, feature, -1), np.where(split, threshold, np.nan),
+                        np.where(split, first + k + left_id, -1),
+                        np.where(split, np.nan, sy / sizes), sizes))
+        if not split.any():
             break
 
-        # children of the i-th split node are 2i (left) and 2i + 1 (right)
-        left_id = 2 * np.cumsum(split) - 2
+        first += k
+        row_node = np.repeat(np.arange(k), sizes)
+        in_leaf = ~split[row_node]
         goes_left = X[rows, feature[row_node]] <= threshold[row_node]
         child = left_id[row_node] + ~goes_left
         sizes = np.bincount(child[~in_leaf])
         node_of[rows] = np.where(in_leaf, -1, child)
         by_node = np.argsort(node_of[lists], axis=1, kind="stable")
         lists = np.take_along_axis(lists, by_node, axis=1)[:, np.count_nonzero(in_leaf):]
-        slots = next_slots
-    return RegressionTree(root=top.left, n_features=n_features), fitted
+    return RegressionTree(*map(np.concatenate, zip(*columns)), n_features)
 
 
 def _passes(sizes: np.ndarray, p: int) -> list:
@@ -411,36 +406,43 @@ def fit_tree(
     if len(y) == 0:
         raise DataError("cannot fit a tree on an empty sample set")
     config = config or TreeConfig()
-    return grow_tree(X, y, presort(X), config, feature_sampler)[0]
+    return grow_tree(X, y, presort(X), config, feature_sampler)
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:
-    def enc(node):
-        if isinstance(node, Leaf):
-            return {"kind": "leaf", "value": node.value, "n_samples": node.n_samples}
+    """The tree as nested {"kind": "leaf" | "split", ...} nodes."""
+    feature, threshold, child, value, n_samples = (a.tolist() for a in (
+        tree.feature, tree.threshold, tree.child, tree.value, tree.n_samples))
+
+    def enc(i):
+        if feature[i] < 0:
+            return {"kind": "leaf", "value": value[i], "n_samples": n_samples[i]}
         return {
             "kind": "split",
-            "feature_id": node.feature_id,
-            "threshold": node.threshold,
-            "left": enc(node.left),
-            "right": enc(node.right),
+            "feature_id": feature[i],
+            "threshold": threshold[i],
+            "left": enc(child[i]),
+            "right": enc(child[i] + 1),
         }
 
-    return {"n_features": tree.n_features, "root": enc(tree.root)}
+    return {"n_features": tree.n_features, "root": enc(0)}
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
-    def dec(d):
-        if d["kind"] == "leaf":
-            return Leaf(value=d["value"], n_samples=d["n_samples"])
-        return Internal(
-            feature_id=d["feature_id"],
-            threshold=d["threshold"],
-            left=dec(d["left"]),
-            right=dec(d["right"]),
-        )
-
-    return RegressionTree(root=dec(doc["root"]), n_features=doc["n_features"])
+    """The inverse of `tree_to_dict`, its nodes numbered breadth-first: the
+    i-th split node's children are 2i + 1 and 2i + 2."""
+    nodes = [doc["root"]]
+    for d in nodes:  # each split appends its children when it is reached
+        nodes += [d["left"], d["right"]] if d["kind"] == "split" else []
+    feature = np.array([d.get("feature_id", -1) for d in nodes], dtype=np.intp)
+    split = feature >= 0
+    child = np.where(split, 2 * np.cumsum(split) - 1, -1)
+    size = np.array([d.get("n_samples", 0) for d in nodes], dtype=np.intp)
+    for i in np.flatnonzero(split)[::-1]:  # a split's rows are its children's
+        size[i] = size[child[i]] + size[child[i] + 1]
+    threshold = np.array([d.get("threshold", math.nan) for d in nodes], dtype=float)
+    value = np.array([d.get("value", math.nan) for d in nodes], dtype=float)
+    return RegressionTree(feature, threshold, child, value, size, doc["n_features"])
 
 
 def dump_tree(tree: RegressionTree) -> str:

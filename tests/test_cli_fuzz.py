@@ -5,6 +5,7 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loadcast.cli import main
@@ -231,6 +232,22 @@ def test_week_on_edge_and_malformed_anchors(anchor):
                       f"--anchor={anchor}", "--out", str(root / "week.csv")],
     )
     assert code in EXIT_CODES
+
+
+@pytest.mark.parametrize("files, predictions, out, code", [
+    # a byte that is not UTF-8 after the rows: a data error
+    ({"predictions.csv": _PREDICTIONS + b"\xff\n"}, "predictions.csv", "week.csv", 3),
+    # a missing file or a directory as the predictions: a data error
+    ({}, "absent.csv", "week.csv", 3),
+    ({}, ".", "week.csv", 3),
+    # an output in a directory that does not exist: a config error
+    ({"predictions.csv": _PREDICTIONS}, "predictions.csv", "absent/week.csv", 2),
+], ids=["not-utf8", "absent", "directory", "out-dir-absent"])
+def test_week_on_unreadable_predictions_or_out(files, predictions, out, code):
+    assert _run(files, lambda root: [
+        "week", "--predictions", str(root / predictions), "--anchor", "2015-01-01",
+        "--out", str(root / out),
+    ]) == code
 
 
 _START = st.one_of(

@@ -16,7 +16,7 @@ from loadcast.ensembles import (
     _tree_rng,
 )
 from loadcast.errors import ConfigError
-from loadcast.tree import Leaf, RegressionTree, TreeConfig, fit_tree
+from loadcast.tree import RegressionTree, TreeConfig, fit_tree
 
 FOUR_POINT_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 FOUR_POINT_Y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -31,7 +31,9 @@ def random_dataset(rng, n=None, p=None):
 
 
 def leaf_tree(value):
-    return RegressionTree(root=Leaf(value, 1), n_features=1)
+    return RegressionTree(
+        *map(np.array, ([-1], [np.nan], [-1], [float(value)], [1])), n_features=1
+    )
 
 
 def predict_one(model, x):
@@ -53,7 +55,7 @@ class TestForest:
         X = np.arange(10, dtype=float).reshape(-1, 1)
         forest = fit_forest(X, np.full(10, 4.5), ForestConfig(n_trees=5, seed=1))
         for tree in forest.trees:
-            assert isinstance(tree.root, Leaf)
+            assert tree.feature.tolist() == [-1]
         assert predict_one(forest, [3.0]) == 4.5
 
     def test_seed_determinism(self):
@@ -128,8 +130,8 @@ class TestGbt:
         model = fit_gbt(X, np.full(6, 3.0), GbtConfig(n_rounds=4))
         assert model.base_score == 3.0
         for tree in model.trees:
-            assert isinstance(tree.root, Leaf)
-            assert tree.root.value == 0.0
+            assert tree.feature.tolist() == [-1]
+            assert tree.value[0] == 0.0
         assert predict_one(model, [2.0]) == 3.0
 
     def test_zero_rounds_rejected(self):
@@ -184,6 +186,45 @@ class TestGbt:
         a = fit_gbt(X, y, GbtConfig(n_rounds=10))
         b = fit_gbt(X, y, GbtConfig(n_rounds=10))
         assert dump_model(a) == dump_model(b)
+
+
+def assert_one_tree(tree, n_rows):
+    """The node arrays form one binary tree over the n_rows training rows."""
+    n = tree.node_count()
+    assert all(a.dtype.kind == "i" for a in (tree.feature, tree.child, tree.n_samples))
+    assert tree.threshold.dtype == tree.value.dtype == np.float64
+    assert all(len(a) == n for a in (tree.threshold, tree.child, tree.value, tree.n_samples))
+    split = np.flatnonzero(tree.feature >= 0)
+    leaf = np.flatnonzero(tree.feature < 0)
+    left = tree.child[split]
+    # children come after their parent and inside the arrays, so following
+    # them from the root reaches every node once
+    assert (left > split).all() and (left + 1 < n).all()
+    parents = np.bincount(np.concatenate([left, left + 1]), minlength=n)
+    assert parents[0] == 0 and (parents[1:] == 1).all()
+    assert (tree.feature[leaf] == -1).all() and (tree.child[leaf] == -1).all()
+    assert (tree.feature[split] < tree.n_features).all()
+    assert np.isfinite(tree.value[leaf]).all() and np.isnan(tree.value[split]).all()
+    assert np.isnan(tree.threshold[leaf]).all() and np.isfinite(tree.threshold[split]).all()
+    assert (tree.n_samples[left] + tree.n_samples[left + 1] == tree.n_samples[split]).all()
+    assert tree.n_samples[0] == n_rows and (tree.n_samples[leaf] >= 1).all()
+
+
+class TestNodeArrays:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fitted_and_reloaded_trees_are_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        X, y = random_dataset(rng, n=int(rng.integers(2, 120)), p=int(rng.integers(1, 5)))
+        if seed % 2:
+            X = np.round(X)  # many ties
+        tree = TreeConfig(max_depth=int(rng.integers(1, 9)),
+                          min_gain=float(rng.choice([0.0, 0.05])))
+        forest = fit_forest(X, y, ForestConfig(n_trees=5, tree=tree, seed=seed))
+        gbt = fit_gbt(X, y, GbtConfig(n_rounds=5, tree=tree))
+        for model in (forest, gbt):
+            assert any(t.node_count() > 1 for t in model.trees)
+            for t in model.trees + load_model(dump_model(model)).trees:
+                assert_one_tree(t, len(y))
 
 
 class TestSerialization:

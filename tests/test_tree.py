@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from loadcast.errors import ConfigError, DataError, SchemaError
 from loadcast.tree import (
     GAIN_MODES,
-    Internal,
-    Leaf,
     RegressionTree,
     TreeConfig,
     best_split,
@@ -17,6 +15,7 @@ from loadcast.tree import (
     grow_level_wise,
     grow_tree,
     load_tree,
+    predict_trees,
     presort,
 )
 
@@ -28,6 +27,17 @@ FOUR_POINT_Y = np.array([0.0, 0.0, 10.0, 10.0])
 
 def predict_one(tree, x):
     return tree.predict_many([x])[0]
+
+
+def walk(tree, row):
+    """The ids of the nodes one row passes, root to leaf, taken one node at a
+    time: the reference for the batch descent of `predict_many`."""
+    path = [0]
+    while tree.feature[path[-1]] >= 0:
+        node = path[-1]
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        path.append(tree.child[node] + (0 if go_left else 1))
+    return path
 
 
 class TestBestSplit:
@@ -127,8 +137,8 @@ class TestFitTree:
 
     def test_constant_targets_single_leaf(self):
         tree = fit_tree(FOUR_POINT_X, np.full(4, 7.0), TreeConfig())
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.value == 7.0
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == 7.0
 
     def test_empty_input(self):
         with pytest.raises(DataError):
@@ -150,16 +160,11 @@ class TestFitTree:
 
         groups = {}
         for row, target in zip(X, y):
-            node = tree.root
-            path = []
-            while isinstance(node, Internal):
-                go_left = row[node.feature_id] <= node.threshold
-                path.append("L" if go_left else "R")
-                node = node.left if go_left else node.right
-            groups.setdefault("".join(path), ([], node))[0].append(target)
-        for path, (targets, leaf) in groups.items():
-            assert leaf.value == pytest.approx(np.mean(targets), abs=1e-12)
-            assert leaf.n_samples == len(targets)
+            groups.setdefault(walk(tree, row)[-1], []).append(target)
+        assert sorted(groups) == np.flatnonzero(tree.feature < 0).tolist()
+        for leaf, targets in groups.items():
+            assert tree.value[leaf] == pytest.approx(np.mean(targets), abs=1e-12)
+            assert tree.n_samples[leaf] == len(targets)
 
     def test_min_gain_monotone_pruning(self):
         rng = np.random.default_rng(8)
@@ -177,18 +182,18 @@ class TestFitTree:
             FOUR_POINT_Y,
             TreeConfig(min_gain=26.0, gain_mode="absolute"),
         )
-        assert isinstance(tree.root, Leaf)  # gain 25 < 26 threshold
+        assert tree.feature.tolist() == [-1]  # gain 25 < 26 threshold
         tree = fit_tree(
             FOUR_POINT_X,
             FOUR_POINT_Y,
             TreeConfig(min_gain=25.0, gain_mode="absolute"),
         )
-        assert isinstance(tree.root, Internal)
+        assert tree.feature[0] == 0
 
 
 class TestPredict:
     def test_single_leaf(self):
-        tree = RegressionTree(root=Leaf(7.0, 1), n_features=3)
+        tree = RegressionTree(*map(np.array, ([-1], [np.nan], [-1], [7.0], [1])), n_features=3)
         assert predict_one(tree, [0.0, 1.0, 2.0]) == 7.0
 
     def test_threshold_boundary_goes_left(self):
@@ -215,14 +220,38 @@ class TestPredict:
         rng = np.random.default_rng(14)
         X = rng.uniform(0, 1, (120, 3))
         tree = fit_tree(X, rng.normal(0, 1, 120), TreeConfig(max_depth=6, min_gain=0.0))
-        probe = np.vstack([X[:40], rng.uniform(-0.5, 1.5, (40, 3))])
+        # rows exactly at each threshold, outside the training range, NaN
+        # (goes right at every split) and signed zeros
+        split = np.flatnonzero(tree.feature >= 0)
+        at_threshold = X[:len(split)].copy()
+        at_threshold[np.arange(len(split)), tree.feature[split]] = tree.threshold[split]
+        some_nan = rng.uniform(0, 1, (30, 3))
+        some_nan[rng.random((30, 3)) < 0.4] = np.nan
+        probe = np.vstack([
+            X[:40], rng.uniform(-0.5, 1.5, (40, 3)), at_threshold, some_nan,
+            np.full((1, 3), np.nan), np.zeros((1, 3)), np.full((1, 3), -0.0),
+            [[np.inf, -np.inf, 1e300]], [[-1e300, np.inf, -np.inf]],
+        ])
+        assert len(split) > 10
         for row, got in zip(probe, tree.predict_many(probe)):
-            node = tree.root
-            while isinstance(node, Internal):
-                go_left = row[node.feature_id] <= node.threshold
-                node = node.left if go_left else node.right
-            assert got == node.value
+            assert got == tree.value[walk(tree, row)[-1]]
         assert tree.predict_many(np.empty((0, 3))).shape == (0,)
+
+
+    def test_stacked_trees_predict_as_each_alone(self):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0, 1, (90, 3))
+        trees = [fit_tree(X, rng.normal(0, 1, 90), TreeConfig(max_depth=d, min_gain=0.0))
+                 for d in (3, 1, 6)]
+        trees.insert(1, fit_tree(X, np.full(90, 2.0)))  # a single leaf
+        probe = np.vstack([X[:20], rng.uniform(-1, 2, (20, 3)), np.full((1, 3), np.nan)])
+        stacked = predict_trees(trees, probe)
+        assert stacked.shape == (4, 41)
+        for tree, got in zip(trees, stacked):
+            assert got.tobytes() == tree.predict_many(probe).tobytes()
+        assert predict_trees([], probe).shape == (0, 41)
+        with pytest.raises(SchemaError):
+            predict_trees(trees, probe[:, :2])
 
 
 class TestConfig:
@@ -316,8 +345,16 @@ class TestGrowerOracle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_tree_problems())
     def test_fitted_values_are_the_predictions(self, problem):
+        # each training row is predicted the mean of the rows in its leaf,
+        # with the bits of their ascending sum over their count
         X, y, config, seed, k = problem
-        tree, fitted = grow_tree(X, y, presort(X), config, _sampler(seed, X.shape[1], k))
+        tree = grow_tree(X, y, presort(X), config, _sampler(seed, X.shape[1], k))
+        leaf_of = np.array([walk(tree, row)[-1] for row in X])
+        fitted = np.empty(len(y))
+        for leaf in np.unique(leaf_of):
+            rows = np.flatnonzero(leaf_of == leaf)
+            fitted[rows] = y[rows].sum() / len(rows)
+            assert tree.n_samples[leaf] == len(rows)
         assert fitted.tobytes() == tree.predict_many(X).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -353,7 +390,7 @@ class TestGrowerOracle:
 
 def _assert_same_growth(X, y, config):
     order = presort(X)
-    want, want_fitted = grow_tree(X, y, order, config)
-    got, got_fitted = grow_level_wise(X, y, order, config)
+    want = grow_tree(X, y, order, config)
+    got = grow_level_wise(X, y, order, config)
     assert dump_tree(got) == dump_tree(want)
-    assert got_fitted.tobytes() == want_fitted.tobytes()
+    assert got.predict_many(X).tobytes() == want.predict_many(X).tobytes()
