@@ -122,7 +122,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise DataError(f"[read-input] {unreadable(exc)}")
     readings = _stage("interpolate", interpolate_nulls, readings)
     buckets = _stage("aggregate", aggregate, readings, granularity)
-    samples = _stage("features", build_samples, buckets, config.lag_offsets)
+    samples = _stage(
+        "features", build_samples, buckets, config.lag_offsets, granularity
+    )
     train, test = _stage("split", split, samples, config.split)
     if len(test) == 0:
         raise DataError("[split] empty test set")

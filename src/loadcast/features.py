@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import DataError
 from .readings import Granularity, Readings
 
 SEASONS = ("winter", "spring", "summer", "autumn")
@@ -106,17 +107,29 @@ def calendar_features(timestamps) -> np.ndarray:
 def build_samples(
     buckets: Readings,
     lag_offsets: Optional[Sequence[int]] = None,
+    granularity: Optional[Granularity] = None,
 ) -> Samples:
     """Featurize the one-column bucket series of `aggregate`.
 
     Lag k of bucket i is the target of bucket max(i - k, 0): offsets reaching
     before the first bucket fall back to its target, so the first bucket sees
-    its own target as every lag.
+    its own target as every lag. So lags need every bucket of `granularity`
+    from the first to the last: a missing one raises DataError.
     """
     timestamps = buckets.timestamps.astype("datetime64[m]")
     y = buckets.values[:, 0]
     X = calendar_features(timestamps)
     if lag_offsets:
+        if granularity is None:
+            raise TypeError("lagged samples need the bucket granularity")
+        width = np.timedelta64(granularity.minutes, "m")
+        gaps = np.flatnonzero(np.diff(timestamps) != width)
+        if gaps.size:
+            missing = timestamps[gaps[0]] + width
+            raise DataError(
+                f"no readings in the bucket starting {missing}: lagged features "
+                "need every bucket from the first to the last"
+            )
         rows = np.arange(len(y))
         X = np.column_stack([X] + [y[np.maximum(rows - k, 0)] for k in lag_offsets])
     return Samples(timestamps, X, y)

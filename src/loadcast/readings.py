@@ -77,6 +77,9 @@ _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # (cells x width) byte matrix the cells are converted from.
 _MAX_CELL = 64
 _BLANKS = np.frombuffer(b" \t\v\f", dtype=np.uint8)
+# 10**k for the 0 to 15 digits after the dot of a plain reading cell (see
+# _parse_cells); each is an exact float
+_POW10 = np.array([float(10**k) for k in range(16)])
 _MALFORMED, _NON_FINITE, _NEGATIVE = 1, 2, 3
 _CELL_PROBLEMS = {
     _MALFORMED: "malformed", _NON_FINITE: "non-finite", _NEGATIVE: "negative"
@@ -100,10 +103,10 @@ def parse_readings(data: bytes | str) -> Readings:
     A str is encoded once. Bytes that are not UTF-8 raise UnicodeDecodeError,
     positioned as decoding the whole input would position it. The data rows
     are parsed in blocks of whole lines of about BLOCK_BYTES each, into
-    arrays sized once from the line count; a block's line ends are made
-    newlines in a copy of that block only. So beside the input and the
-    result only one block's temporaries are held. The first error in file
-    order is the one raised.
+    arrays sized once from the line count. A block is read in place unless
+    it holds a lone CR: then its line ends are made newlines in a copy of
+    that block only. So beside the input and the result only one block's
+    temporaries are held. The first error in file order is the one raised.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -120,7 +123,9 @@ def parse_readings(data: bytes | str) -> Readings:
         raise DataError("header declares no meter columns")
 
     # one row at most per line after the header, the final empty one aside
-    breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    crs = data.count(b"\r")
+    crlfs = data.count(b"\r\n") if crs else 0
+    breaks = data.count(b"\n") + crs - crlfs
     most = breaks - data.endswith((b"\n", b"\r"))
     timestamps = np.empty(most, dtype="datetime64[us]")
     values = np.empty((most, n_cols - 1))
@@ -137,11 +142,15 @@ def parse_readings(data: bytes | str) -> Readings:
                 cut = _line_end(data, stop)
             elif cut > pos and data[cut - 1 : cut + 1] == b"\r\n":
                 cut -= 1
-        if data.find(b"\r", pos, cut) < 0:
-            block = np.frombuffer(data, np.uint8, cut - pos, pos)
-        else:
+        # only a block with a lone CR is copied, and only a file with one
+        # can have such a block
+        if crs > crlfs and (
+            data.count(b"\r", pos, cut) > data.count(b"\r\n", pos, cut)
+        ):
             text = data[pos:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             block = np.frombuffer(text, np.uint8)
+        else:
+            block = np.frombuffer(data, np.uint8, cut - pos, pos)
         last = timestamps[n - 1] if n else np.datetime64("NaT")
         rows, lines = _parse_block(block, line, n_cols, last, timestamps[n:], values[n:])
         n += rows
@@ -181,14 +190,16 @@ def _check_utf8(data: bytes) -> None:
 
 
 def _parse_block(buf, first_line, n_cols, last, timestamps, values) -> tuple:
-    """Parse `buf`, whole lines without the last one's newline, into the
+    """Parse `buf`, whole lines without the last one's line break, into the
     first rows of `timestamps` and `values`; return the numbers of rows and
-    of lines, blank ones included. `first_line` is the index of the block's
-    first line in the file and `last` the timestamp of the row before the
-    block (NaT for none). Raises the block's first error."""
+    of lines, blank ones included. Lines end at LF or CRLF: `buf` holds no
+    lone CR. `first_line` is the index of the block's first line in the file
+    and `last` the timestamp of the row before the block (NaT for none).
+    Raises the block's first error."""
     newlines = np.flatnonzero(buf == ord("\n"))
+    crlf = buf[np.maximum(newlines - 1, 0)] == ord("\r")
     line_start = np.concatenate(([0], newlines + 1))
-    line_end = np.concatenate((newlines, [buf.size]))
+    line_end = np.concatenate((newlines - crlf, [buf.size]))
     lines = np.flatnonzero(line_end > line_start)  # row number: first_line + index + 1
     start, end = line_start[lines], line_end[lines]
 
@@ -282,18 +293,58 @@ def _parse_timestamps(buf, start, length):
 
 def _parse_cells(buf, start, length):
     """(values, problem) per cell of one column: float64 with NaN for a blank
-    cell, and the cell's _CELL_PROBLEMS code (0 = none). Cells after the
-    first one the float conversion rejects are left NaN and unchecked."""
+    cell, and the cell's _CELL_PROBLEMS code (0 = none).
+
+    A plain cell, made of 1 to 15 ASCII digits and at most one '.', is read
+    by digit arithmetic: its digits as one integer m < 10**15 < 2**53, then
+    m / 10**f for its f digits after the dot. m and 10**f are exact floats,
+    so the one correctly rounded division gives the nearest float64 to the
+    decimal, the bits that float() and numpy's string cast give (Clinger's
+    fast path). Every other cell takes `_convert_cells`.
+    """
     width = max(1, min(int(length.max(initial=0)), _MAX_CELL))
     chars = _gather(buf, start, length, width)
+    d = chars - np.uint8(ord("0"))  # wraps, so a digit is d < 10
+    digit = d < 10
+    dot = chars == ord(".")
+    n_digits = digit.sum(axis=0, dtype=np.uint8)
+    n_dots = dot.sum(axis=0, dtype=np.uint8)
+    # bytes past a cell's end are zeros, so its digits and dots fill it
+    # exactly when they number its length
+    plain = (n_digits + n_dots == length) & (n_dots <= 1)
+    plain &= (n_digits >= 1) & (n_digits < len(_POW10))
+    # Horner's rule over the bytes, where a dot or padding byte multiplies
+    # by 1 and adds 0; the partial sums of a plain cell stay exact integers
+    scale = digit.view(np.uint8) * np.uint8(9) + np.uint8(1)
+    d *= digit
+    mantissa = np.zeros(len(start))
+    for k in range(width):
+        mantissa *= scale[k]
+        mantissa += d[k]
+    # one past the dot's index, 0 without a dot; f = the bytes after it
+    dot_end = (dot * np.arange(1, width + 1, dtype=np.uint8)[:, None]).max(axis=0)
+    frac = np.where(dot_end > 0, length - dot_end, 0)
+    values = mantissa / _POW10.take(frac, mode="clip")
+    problem = np.zeros(len(start), dtype=np.int8)
+    rest = np.flatnonzero(~plain)
+    values[rest], problem[rest] = _convert_cells(chars[:, rest], length[rest])
+    return values, problem
+
+
+def _convert_cells(chars, length):
+    """(values, problem) as `_parse_cells` gives them, of the cells whose
+    bytes are the columns of `chars` (zero past each cell's end), by numpy's
+    string cast. Cells after the first one the cast rejects are left NaN and
+    unchecked."""
+    width = len(chars)
     padding = width - np.minimum(length, width)
     nul = (chars == 0).sum(axis=0) > padding
-    problem = np.zeros(len(start), dtype=np.int8)
+    problem = np.zeros(len(length), dtype=np.int8)
     problem[(length > width) | nul] = _MALFORMED
     blank = (np.isin(chars, _BLANKS) | (chars == 0)).all(axis=0)
     filled = np.flatnonzero(~blank & (problem == 0))
     cells = np.ascontiguousarray(chars[:, filled].T).view(f"S{width}").ravel()
-    values = np.full(len(start), np.nan)
+    values = np.full(len(length), np.nan)
     try:
         values[filled] = cells.astype(np.float64)
     except ValueError:

@@ -220,8 +220,9 @@ class TestRunExperiment:
         config = small_config(small_input, tmp_path / "out", lags=True)
         result = run_experiment(config)
         readings = interpolate_nulls(parse_readings(small_input.read_text()))
+        granularity = Granularity(config.granularity)
         samples = build_samples(
-            aggregate(readings, Granularity(config.granularity)), config.lag_offsets
+            aggregate(readings, granularity), config.lag_offsets, granularity
         )
         _, test = split(samples, config.split)
         scaler = Scaler(**json.loads(result.files["scaler"].read_text()))
@@ -253,6 +254,32 @@ class TestRunExperiment:
         del want.files["config"]  # run_config.json names the input
         for name, path in want.files.items():
             assert got.files[name].read_bytes() == path.read_bytes(), name
+
+    def test_cell_spellings_give_the_same_artifacts(self, small_input, tmp_path):
+        # plain cells are read by digit arithmetic, these equal decimals by
+        # numpy's string cast: 68.434 as 6.8434e1, 068.4340 and +68.434
+        def respell(cell, k):
+            if not cell or k == 0:
+                return cell
+            whole, frac = cell.split(b".")
+            if k == 1:
+                return whole[:-1] + b"." + whole[-1:] + frac + b"e1"
+            return b"0" + cell + b"0" if k == 2 else b"+" + cell
+
+        lines = small_input.read_bytes().split(b"\r\n")
+        for i in range(1, len(lines)):
+            stamp, *cells = lines[i].split(b",")
+            lines[i] = b",".join(
+                [stamp] + [respell(cell, (i + j) % 4) for j, cell in enumerate(cells)]
+            )
+        respelled = b"\r\n".join(lines)
+        assert b"e1," in respelled and b",068." in respelled and b",+" in respelled
+        copy = tmp_path / "respelled.csv"
+        copy.write_bytes(respelled)
+        want = run_experiment(small_config(small_input, tmp_path / "plain"))
+        got = run_experiment(small_config(copy, tmp_path / "respelled"))
+        for name in ("predictions", "forest", "gbt"):
+            assert got.files[name].read_bytes() == want.files[name].read_bytes(), name
 
     def test_validation_fraction_bounds(self, small_input, tmp_path):
         with pytest.raises(ConfigError):
@@ -392,6 +419,29 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"),
                      "--out-dir", str(tmp_path)]) == 3
+
+    def test_lagged_run_over_a_missing_day_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["synth", "--out", str(data), "--days", "40", "--meters", "1",
+                     "--seed", "3"]) == 0
+        lines = data.read_bytes().split(b"\r\n")
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_bytes(b"\r\n".join(
+            line for line in lines if not line.startswith(b"2015-01-20")
+        ))
+        flags = ["--granularity", "1440", "--split", "ordered", *TINY_MODELS]
+        lagged = ["--lags", "--lag-offsets", "1,2"]
+        assert main(["run", "--input", str(gapped), "--out-dir",
+                     str(tmp_path / "lagged"), *flags, *lagged]) == 3
+        assert capsys.readouterr().err == (
+            "data error: [features] no readings in the bucket starting "
+            "2015-01-20T00:00: lagged features need every bucket from the first "
+            "to the last\n"
+        )
+        assert main(["run", "--input", str(gapped), "--out-dir",
+                     str(tmp_path / "plain"), *flags]) == 0
+        assert main(["run", "--input", str(data), "--out-dir",
+                     str(tmp_path / "whole"), *flags, *lagged]) == 0
 
     def test_week_empty_window_exit_code(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -3,7 +3,9 @@ from datetime import datetime, timedelta
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from loadcast.errors import DataError
 from loadcast.features import (
     BASE_FEATURES,
     SEASONS,
@@ -110,7 +112,9 @@ def test_feature_names_and_matrix_shape():
     assert names[-3:] == ["lag_1", "lag_2", "lag_24"]
 
     stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(10)]
-    samples = build_samples(buckets(stamps, range(10)), lag_offsets=(1, 2, 24))
+    samples = build_samples(
+        buckets(stamps, range(10)), lag_offsets=(1, 2, 24), granularity=Granularity(60)
+    )
     X = samples.X
     assert X.shape == (10, len(names))
 
@@ -122,13 +126,33 @@ def test_default_lag_offsets():
 
 def test_lags_from_history():
     stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(6)]
-    samples = build_samples(buckets(stamps, [10.0 + i for i in range(6)]), (1, 3))
+    samples = build_samples(
+        buckets(stamps, [10.0 + i for i in range(6)]), (1, 3), Granularity(60)
+    )
     lags = [tuple(row[-2:].tolist()) for row in samples.X]
     # first sample has no history: falls back to its own (earliest) target
     assert lags[0] == (10.0, 10.0)
     # offset 3 before history start uses the earliest known target
     assert lags[2] == (11.0, 10.0)
     assert lags[5] == (14.0, 12.0)
+
+
+def test_lags_need_every_bucket():
+    # lag k reads the bucket k places back, so after a missing bucket it
+    # would read one from further back than k buckets
+    days = ["2015-01-01", "2015-01-02", "2015-01-04", "2015-01-05"]
+    gapped = buckets(np.array(days, dtype="datetime64[D]"), [1.0, 2.0, 4.0, 5.0])
+    with pytest.raises(DataError, match=(
+        "^no readings in the bucket starting 2015-01-03T00:00: lagged features "
+        "need every bucket from the first to the last$"
+    )):
+        build_samples(gapped, (1,), Granularity(1440))
+    # hourly buckets of those days are not consecutive either
+    with pytest.raises(DataError, match="bucket starting 2015-01-01T01:00"):
+        build_samples(gapped, (1,), Granularity(60))
+    assert build_samples(gapped).X.shape == (4, len(BASE_FEATURES))
+    with pytest.raises(TypeError, match="granularity"):
+        build_samples(gapped, (1,))
 
 
 def test_season_encoding_round_trip():

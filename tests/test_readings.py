@@ -242,6 +242,69 @@ class TestParseProperties:
         assert (np.isfinite(known) & (known >= 0)).all()
 
 
+# cell spellings beside the random plain decimals: edge cases of the digit
+# path (a lone or repeated dot, leading zeros, 15 and 16 digits) and cells
+# that only numpy's string cast reads or rejects
+SPELLINGS = (
+    "5.", ".5", ".", "..", "1.2.3", "007", "0.000", "+1", "-0.0", "1e3", " 1",
+    "1 ", "inf", "nan", "1_0", "", "123456.789012345", "925.1070446233593",
+)
+
+
+@st.composite
+def _decimal(draw):
+    """1 to 17 digits, with or without a dot anywhere among them."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=17))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    return digits if dot is None else digits[:dot] + "." + digits[dot:]
+
+
+def _cast_outcome(cells):
+    """The parse of one column of `cells` as numpy's string cast reads each
+    cell on its own: the column's bytes, or the first cell's error."""
+    values = []
+    for row, cell in enumerate(cells, start=2):
+        if not cell.strip(" "):
+            values.append(np.nan)
+            continue
+        try:
+            value = np.array([cell.encode()], dtype="S").astype(np.float64)[0]
+        except ValueError:
+            return f"malformed reading at row {row}, column 1"
+        if not np.isfinite(value):
+            return f"non-finite reading at row {row}, column 1"
+        if value < 0:
+            return f"negative reading at row {row}, column 1"
+        values.append(value)
+    return np.array(values).tobytes()
+
+
+def _column_outcome(cells):
+    stamps = np.datetime64("2015-01-01T00:00") + np.arange(len(cells))
+    text = "timestamp,a\n" + "".join(
+        f"{stamp},{cell}\n"
+        for stamp, cell in zip(np.datetime_as_string(stamps).tolist(), cells)
+    )
+    try:
+        return parse_readings(text).values.tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestCellsAsTheStringCast:
+    # plain cells are read by digit arithmetic and the others by numpy's
+    # string cast; values and errors must be those of the cast, to the bit
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(_decimal() | st.sampled_from(SPELLINGS), min_size=1, max_size=40))
+    def test_random_decimals(self, cells):
+        assert _column_outcome(cells) == _cast_outcome(cells)
+
+    @pytest.mark.parametrize("cell", SPELLINGS)
+    def test_spelling(self, cell):
+        cells = ["68.434", cell, "0.5"]
+        assert _column_outcome(cells) == _cast_outcome(cells)
+
+
 def _outcome(data):
     """A parse's arrays as bytes, or its DataError message."""
     try:
