@@ -1,8 +1,9 @@
 """Random Forest and Gradient Boosted Trees built on the regression tree.
 
 The forest averages trees grown on bootstrap resamples with per-node feature
-subsampling; boosting fits each tree to the squared-error residuals of the
-running prediction and adds it scaled by the shrinkage factor.
+subsampling, each node's features drawn from its own keyed stream; boosting
+fits each tree to the squared-error residuals of the running prediction and
+adds it scaled by the shrinkage factor.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tree import (
     TreeConfig,
-    fit_tree,
     grow_level_wise,
     predict_trees,
     presort,
@@ -89,9 +89,25 @@ class GbtModel:
         return np.vstack([np.full(len(X), self.base_score), shrunk]).cumsum(axis=0)[-1]
 
 
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    # keyed stream: each tree's randomness is independent of fit order
-    return np.random.default_rng((seed, tree_index))
+def _tree_rng(*key: int) -> np.random.Generator:
+    # keyed stream: (seed, tree) draws a tree's bootstrap sample and
+    # (seed, tree, node) a node's features, independent of fit and growth order
+    return np.random.default_rng(key)
+
+
+def _feature_draws(seed: int, tree_index: int, p: int, k: int):
+    """The feature mask of `grow_level_wise`: node `i` may split on the k of
+    p features drawn from `_tree_rng(seed, tree_index, i)`. Node ids are
+    breadth-first, as `tree_from_dict` numbers a reloaded tree, so each
+    node's draw can be derived again from the saved model."""
+
+    def mask(nodes: np.ndarray) -> np.ndarray:
+        drawn = np.zeros((len(nodes), p), dtype=bool)
+        for row, node in zip(drawn, nodes.tolist()):
+            row[_tree_rng(seed, tree_index, node).choice(p, size=k, replace=False)] = True
+        return drawn
+
+    return mask
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> ForestModel:
@@ -105,17 +121,13 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> ForestMode
 
     trees = []
     for i in range(config.n_trees):
-        rng = _tree_rng(config.seed, i)
         if config.bootstrap:
-            idx = rng.integers(0, n, n)
+            idx = _tree_rng(config.seed, i).integers(0, n, n)
             Xb, yb = X[idx], y[idx]
         else:
             Xb, yb = X, y
-        if k < p:
-            sampler = lambda: rng.choice(p, size=k, replace=False)
-        else:
-            sampler = None
-        trees.append(fit_tree(Xb, yb, config.tree, feature_sampler=sampler))
+        mask = _feature_draws(config.seed, i, p, k) if k < p else None
+        trees.append(grow_level_wise(Xb, yb, presort(Xb), config.tree, mask))
     return ForestModel(trees=trees, config=config)
 
 

@@ -2,7 +2,8 @@
 
 Runs the full pipeline: parse -> repair nulls -> aggregate -> featurize ->
 split -> train forest and boosted trees -> fit blend weights on the
-chronological tail of the training set -> predict the test set -> evaluate.
+validation rows, each split group's last training rows -> predict the test
+set -> evaluate.
 Writes the comparison table, a per-test-point prediction CSV, and the fitted
 model artifacts. Fully reproducible given the seed.
 """
@@ -26,7 +27,7 @@ from .features import build_samples, default_lag_offsets, feature_names
 from .metrics import ComparisonTable, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from .scaling import SCALER_KINDS, fit_scaler
-from .splitting import SplitSpec, split
+from .splitting import SplitSpec, split, validation_split
 
 MODEL_RF = "random_forest"
 MODEL_GBT = "gradient_boosting"
@@ -128,11 +129,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     train, test = _stage("split", split, samples, config.split)
     if len(test) == 0:
         raise DataError("[split] empty test set")
-
-    n_val = max(1, int(config.validation_fraction * len(train)))
-    if n_val >= len(train):
-        raise DataError("[split] training set too small for a validation tail")
-    train_core, validation = train[:-n_val], train[-n_val:]
+    train_core, validation = _stage(
+        "split", validation_split, samples, config.split, config.validation_fraction
+    )
 
     X_core, y_core = samples.X[train_core], samples.y[train_core]
     X_val, y_val = samples.X[validation], samples.y[validation]

@@ -334,13 +334,15 @@ def _parse_cells(buf, start, length):
 def _convert_cells(chars, length):
     """(values, problem) as `_parse_cells` gives them, of the cells whose
     bytes are the columns of `chars` (zero past each cell's end), by numpy's
-    string cast. Cells after the first one the cast rejects are left NaN and
-    unchecked."""
+    string cast; a cell with an underscore is malformed. Cells after the
+    first one the cast rejects are left NaN and unchecked."""
     width = len(chars)
     padding = width - np.minimum(length, width)
     nul = (chars == 0).sum(axis=0) > padding
+    # the cast reads Python's digit-group underscores: 1_0 would be 10.0
+    underscore = (chars == ord("_")).any(axis=0)
     problem = np.zeros(len(length), dtype=np.int8)
-    problem[(length > width) | nul] = _MALFORMED
+    problem[(length > width) | nul | underscore] = _MALFORMED
     blank = (np.isin(chars, _BLANKS) | (chars == 0)).all(axis=0)
     filled = np.flatnonzero(~blank & (problem == 0))
     cells = np.ascontiguousarray(chars[:, filled].T).view(f"S{width}").ravel()

@@ -2,7 +2,9 @@
 
 All strategies keep train and test chronological and disjoint. Stratified
 variants apply the train fraction within each month or season group, taking
-each group's chronological head for training.
+each group's chronological head for training. `validation_split` takes
+each group's last training rows for validation, so that the validation rows
+are drawn like the test rows and every group keeps rows to fit on.
 """
 from __future__ import annotations
 
@@ -43,6 +45,30 @@ class SplitSpec:
 def split(samples: Samples, spec: SplitSpec):
     """Returns (train, test): increasing, disjoint index arrays into
     `samples` whose union is the selection."""
+    selected, group, rank, n_train = _ranks(samples, spec)
+    in_train = rank < n_train[group]
+    return selected[in_train], selected[~in_train]
+
+
+def validation_split(samples: Samples, spec: SplitSpec, fraction: float):
+    """Returns (core, validation): the train rows of `split`, parted so that
+    the last min(max(1, int(fraction * n)), n - 1) of each group's n training
+    rows are for validation and the rest for fitting, so every group keeps a
+    row to fit on. With one group, validation is the training set's tail.
+    No validation row is a DataError."""
+    selected, group, rank, n_train = _ranks(samples, spec)
+    n_val = np.minimum(np.maximum(1, (fraction * n_train).astype(np.int64)), n_train - 1)
+    in_train = rank < n_train[group]
+    validation = in_train & (rank >= (n_train - n_val)[group])
+    if not validation.any():
+        raise DataError("training set too small for validation rows")
+    return selected[in_train & ~validation], selected[validation]
+
+
+def _ranks(samples: Samples, spec: SplitSpec):
+    """(selected, group, rank, n_train): the selected sample indices, each
+    one's split group and rank within it in timestamp order, and each
+    group's number of training rows."""
     months = samples.timestamps.astype("datetime64[M]").astype(np.int64)
     if spec.strategy == "single_season":
         season = SEASONS.index(spec.season)
@@ -69,5 +95,5 @@ def split(samples: Samples, spec: SplitSpec):
     first = np.cumsum(sizes) - sizes
     rank = np.empty(len(group), dtype=np.int64)
     rank[order] = np.arange(len(group)) - first[group[order]]
-    in_train = rank < np.ceil(spec.train_fraction * sizes)[group]
-    return selected[in_train], selected[~in_train]
+    n_train = np.ceil(spec.train_fraction * sizes).astype(np.int64)
+    return selected, group, rank, n_train

@@ -8,18 +8,13 @@ A fitted tree is parallel node arrays, node 0 the root, as in scikit-learn's
 `Tree`. A split node sends rows whose feature value is <= its threshold to
 node `child` and the rest, NaN included, to `child + 1`; a leaf has feature -1.
 
-Each column is sorted once per fit (`presort`), not once per node. A node
-holds its rows in ascending order and, for every column, the same rows in
-that column's stable sort order, and the children inherit both in order, so
-nothing is sorted again. Two growers build the same trees:
-
-- `grow_tree` grows depth-first, left child first, and splits a node's rows
-  between its children through one flag per row. The forest uses it: its
-  per-node feature draws come from one RNG stream in depth-first order.
-- `grow_level_wise` grows breadth-first, all nodes of a depth at once: one
-  stable sort by node id regroups the presorted rows, and `_best_cuts`
-  scores every splittable node in a few padded passes. Boosting uses it: it
-  draws no features, so growth order changes nothing but time and node ids.
+Each column is sorted once per fit (`presort`), not once per node. One
+grower, `grow_level_wise`, builds every tree breadth-first, all nodes of a
+depth at once: one stable sort by node id regroups the presorted rows, and
+`_best_cuts` scores every splittable node in a few padded passes. Nodes are
+numbered depth by depth, so node ids are those `tree_from_dict` gives a
+reloaded tree. A forest passes a per-node feature mask, keyed by node id, so
+that no draw depends on the order in which nodes are grown.
 
 `best_split` is the one-node case of `_best_cuts`. Ties break to the lowest
 feature, then the lowest threshold. The trees are bit for bit those of a
@@ -128,44 +123,26 @@ def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
 
 
 def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_ids: Optional[Sequence[int]] = None,
-    rows: Optional[np.ndarray] = None,
-    order: Optional[np.ndarray] = None,
+    X: np.ndarray, y: np.ndarray, feature_ids: Optional[Sequence[int]] = None
 ) -> Optional[SplitCandidate]:
-    """Best (feature, midpoint-threshold) by variance reduction over a node.
-
-    The node is `rows`, its indices into X and y in ascending order, with
-    `order = presort(X)` narrowed to the same rows: row f of the
-    (features, rows) matrix lists them in the stable sort order of column f.
-    Without `order` it is sorted here; without both the node is every row.
-    An `order` without its `rows` is a ConfigError.
+    """Best (feature, midpoint-threshold) by variance reduction over all rows.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. The drawn features are scored in one pass of
-    `_best_cuts`, the one-node case of the level scorer. Returns None when
-    the parent variance is zero or no candidate has positive gain. Ties break
-    to the lowest feature_id, then the lowest threshold: the first maximum
-    over (sorted feature, cut position), as an ascending scan that keeps
-    only strict improvements would find it.
+    values of each feature. The features of `feature_ids` (all by default)
+    are scored in one pass of `_best_cuts`, the one-node case of the level
+    scorer. Returns None when the parent variance is zero or no candidate has
+    positive gain. Ties break to the lowest feature_id, then the lowest
+    threshold: the first maximum over (sorted feature, cut position), as an
+    ascending scan that keeps only strict improvements would find it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if rows is None:
-        if order is not None:
-            raise ConfigError("best_split: order was given without its rows")
-        rows = np.arange(len(y))
-    rows = np.asarray(rows, dtype=np.intp)
-    if order is None:
-        order = rows[presort(X[rows])]
-    n = len(rows)
+    n = len(y)
     if n < 2:
         return None
 
-    node_y = y[rows]
-    sy = float(node_y.sum())
-    sy2 = float((node_y * node_y).sum())
+    sy = float(y.sum())
+    sy2 = float((y * y).sum())
     sse_parent = max(sy2 - sy * sy / n, 0.0)
     var_parent = sse_parent / n
     if var_parent <= 0.0:
@@ -177,7 +154,7 @@ def best_split(
         fids = np.sort(np.asarray(feature_ids, dtype=np.intp))
     if len(fids) == 0:
         return None
-    idx = order[fids]
+    idx = presort(X[:, fids])
     xs = X[idx, fids[:, None]]
     gain, f, j = _best_cuts(xs[None], y[idx][None], np.array([n]), np.array([sse_parent]))
     best = gain[0]
@@ -193,14 +170,19 @@ def best_split(
 
 
 def _best_cuts(
-    xs: np.ndarray, ys: np.ndarray, n: np.ndarray, sse_parent: np.ndarray
+    xs: np.ndarray,
+    ys: np.ndarray,
+    n: np.ndarray,
+    sse_parent: np.ndarray,
+    mask: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best cut of each of k nodes, scored in one array pass.
 
     `xs` and `ys` are (k, features, width): the feature values and targets
     of each node's rows in the sort order of each feature. A node of n < width
     rows fills positions n and on with its last row again. `n` and
-    `sse_parent` hold each node's size and sum of squared deviations.
+    `sse_parent` hold each node's size and sum of squared deviations; `mask`,
+    when given, is (k, features), true where a node may split on a feature.
     Returns (gain, f, j) per node: the best variance reduction (-inf when no
     cut has positive gain), its feature index f into the features axis and
     its cut j, between sorted positions j and j + 1.
@@ -229,6 +211,8 @@ def _best_cuts(
     sse_r = np.maximum((total2 - left2) - right * right / n_r, 0.0)
     gain = (sse_parent[:, None, None] - sse_l - sse_r) / nn
     usable = (xs[:, :, 1:] > xs[:, :, :-1]) & (gain > 0.0)
+    if mask is not None:
+        usable &= mask[:, :, None]
     flat = np.where(usable, gain, -np.inf).reshape(k, -1)
     best = flat.argmax(axis=1)
     f, j = np.divmod(best, width - 1)
@@ -241,60 +225,21 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(X, dtype=float).T, axis=1, kind="stable")
 
 
-def grow_tree(
+def grow_level_wise(
     X: np.ndarray,
     y: np.ndarray,
     order: np.ndarray,
     config: TreeConfig,
-    feature_sampler: Optional[Callable[[], Sequence[int]]] = None,
+    feature_mask: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RegressionTree:
-    """The tree grown on float arrays X and y.
+    """The tree grown on float arrays X and y, breadth-first, from a few
+    array passes per depth, its nodes numbered depth by depth: the i-th
+    split node's children are 2i + 1 and 2i + 2.
 
     `order` is `presort(X)`, so one sort can serve every tree fitted on the
-    same X. Growth is depth-first, left child first; a split appends both
-    children's ids. Each node keeps its rows in ascending order and `order`
-    narrowed to them; one flag per row, true for the rows that go left,
-    splits both between the children without changing their order, so
-    nothing is sorted again.
-    """
-    feature, threshold, child, value, size = [-1], [math.nan], [-1], [math.nan], [0]
-    goes_left = np.zeros(len(y), dtype=bool)
-
-    def grow(node, rows, order, depth):
-        n = size[node] = len(rows)
-        cand = None
-        if depth < config.max_depth and n >= config.min_samples_split:
-            fids = feature_sampler() if feature_sampler is not None else None
-            cand = best_split(X, y, fids, rows=rows, order=order)
-        if cand is None or (
-            cand.relative_gain if config.gain_mode == "relative" else cand.gain
-        ) < config.min_gain:
-            # the bits of np.mean: the same pairwise sum over y[rows], over n
-            value[node] = float(y[rows].sum() / n)
-            return
-        here = X[rows, cand.feature_id] <= cand.threshold
-        goes_left[rows] = here
-        sides = goes_left[order]
-        p = len(order)
-        left = len(feature)
-        feature[node], threshold[node], child[node] = cand.feature_id, cand.threshold, left
-        for column, blank in zip((feature, threshold, child, value, size),
-                                 (-1, math.nan, -1, math.nan, 0)):
-            column.extend((blank, blank))
-        grow(left, rows[here], order[sides].reshape(p, -1), depth + 1)
-        grow(left + 1, rows[~here], order[~sides].reshape(p, -1), depth + 1)
-
-    grow(0, np.arange(len(y)), order, 0)
-    return RegressionTree(np.array(feature), np.array(threshold), np.array(child),
-                          np.array(value), np.array(size), X.shape[1])
-
-
-def grow_level_wise(
-    X: np.ndarray, y: np.ndarray, order: np.ndarray, config: TreeConfig
-) -> RegressionTree:
-    """`grow_tree` without a feature sampler, grown breadth-first: the same
-    tree, bit for bit, from a few array passes per depth, its nodes
-    numbered depth by depth.
+    same X. `feature_mask`, when given, maps an array of node ids to a
+    (len(ids), n_features) bool mask of the features each node may split
+    on; without it every feature may be used.
 
     Every row carries the id of its node at the current depth. Each depth
     stable-sorts the rows of `order`, and the rows themselves, by node id, so
@@ -339,6 +284,7 @@ def grow_level_wise(
         threshold = np.zeros(k)
         if depth < config.max_depth and p:
             todo = by_size[(sizes[by_size] >= config.min_samples_split) & (var[by_size] > 0.0)]
+            drawn = None if feature_mask is None else feature_mask(first + todo)[:, varying]
             for batch in _passes(sizes[todo], p):
                 ks = todo[batch]
                 n = sizes[ks]
@@ -346,7 +292,8 @@ def grow_level_wise(
                 at = starts[ks, None] + np.minimum(np.arange(n[-1]), n[:, None] - 1)
                 idx = lists[:p, at].transpose(1, 0, 2)
                 xs = X[idx, features]
-                gain, f, j = _best_cuts(xs, y[idx], n, sse[ks])
+                gain, f, j = _best_cuts(xs, y[idx], n, sse[ks],
+                                        None if drawn is None else drawn[batch])
                 metric[ks] = gain / var[ks] if config.gain_mode == "relative" else gain
                 feature[ks] = varying[f]
                 nodes = np.arange(len(ks))
@@ -387,26 +334,15 @@ def _passes(sizes: np.ndarray, p: int) -> list:
 
 
 def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: Optional[TreeConfig] = None,
-    feature_sampler: Optional[Callable[[], Sequence[int]]] = None,
+    X: np.ndarray, y: np.ndarray, config: Optional[TreeConfig] = None
 ) -> RegressionTree:
-    """One greedy tree, grown depth-first by `grow_tree`; leaves carry the
-    mean target of their samples.
-
-    `feature_sampler`, when given, supplies the candidate feature subset for
-    each node (used by the forest for per-node feature subsampling), drawn in
-    depth-first order. Boosting grows its trees level by level instead
-    (`grow_level_wise`), to the same trees. The columns of X are sorted once,
-    for the whole tree.
-    """
+    """One greedy tree on every feature, grown by `grow_level_wise`; leaves
+    carry the mean target of their samples."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise DataError("cannot fit a tree on an empty sample set")
-    config = config or TreeConfig()
-    return grow_tree(X, y, presort(X), config, feature_sampler)
+    return grow_level_wise(X, y, presort(X), config or TreeConfig())
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:

@@ -97,34 +97,36 @@ def per_node_best_split(X, y, feature_ids=None):
 def per_node_tree(X, y, max_depth, min_gain, min_samples_split, gain_mode,
                   feature_sampler=None):
     """The tree the per-node grower builds, as the nested dict of
-    `tree_to_dict`: recursive, left child first, each child handed the
-    masked copy of its parent's rows."""
+    `tree_to_dict`: breadth-first from a queue, each child handed the masked
+    copy of its parent's rows. A node's id is its place in the queue, so the
+    i-th split node's children are 2i + 1 and 2i + 2; `feature_sampler(id)`,
+    when given, returns the features that node may split on."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-
-    def grow(Xs, ys, depth):
+    root = {}
+    queue = [(root, X, y, 0)]
+    for node_id, (node, Xs, ys, depth) in enumerate(queue):
         n = len(ys)
-        leaf = {"kind": "leaf", "value": float(np.mean(ys)), "n_samples": n}
+        node.update(kind="leaf", value=float(np.mean(ys)), n_samples=n)
         if depth >= max_depth or n < min_samples_split:
-            return leaf
-        fids = feature_sampler() if feature_sampler is not None else None
+            continue
+        fids = feature_sampler(node_id) if feature_sampler is not None else None
         cand = per_node_best_split(Xs, ys, fids)
         if cand is None:
-            return leaf
+            continue
         feature_id, threshold, gain, relative_gain = cand
         measured = relative_gain if gain_mode == "relative" else gain
         if measured < min_gain:
-            return leaf
+            continue
         mask = Xs[:, feature_id] <= threshold
-        return {
-            "kind": "split",
-            "feature_id": feature_id,
-            "threshold": threshold,
-            "left": grow(Xs[mask], ys[mask], depth + 1),
-            "right": grow(Xs[~mask], ys[~mask], depth + 1),
-        }
+        left, right = {}, {}
+        node.clear()
+        node.update(kind="split", feature_id=feature_id, threshold=threshold,
+                    left=left, right=right)
+        queue.append((left, Xs[mask], ys[mask], depth + 1))
+        queue.append((right, Xs[~mask], ys[~mask], depth + 1))
 
-    return {"n_features": X.shape[1], "root": grow(X, y, 0)}
+    return {"n_features": X.shape[1], "root": root}
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,8 @@ def parse_rows(text):
                 values.append(None)
                 continue
             try:
+                if "_" in cell:  # float() reads digit-group underscores
+                    raise ValueError(cell)
                 v = float(cell)
             except ValueError:
                 raise ValueError(f"malformed reading at row {row_no}, column {col}")

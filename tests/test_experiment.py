@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from datetime import date, datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loadcast
@@ -73,6 +75,23 @@ class TestRunExperiment:
             result.reports["gradient_boosting"].rmse,
         )
         assert blend <= worst + 1e-9
+
+    def test_forest_splits_on_its_keyed_feature_draws(self, small_input, tmp_path):
+        # node i of tree t may split only on the features drawn from the
+        # stream keyed (seed, t, i), i the breadth-first id of the reloaded node
+        forest = ForestConfig(n_trees=4, tree=TreeConfig(max_depth=6, min_gain=0.0), seed=5)
+        result = run_experiment(small_config(small_input, tmp_path / "out", forest=forest))
+        model = load_model(result.files["forest"].read_text())
+        p = model.trees[0].n_features
+        k = math.ceil(forest.feature_fraction * p)
+        assert k < p
+        checked = 0
+        for t, tree in enumerate(model.trees):
+            for i in np.flatnonzero(tree.feature >= 0).tolist():
+                drawn = np.random.default_rng((5, t, i)).choice(p, size=k, replace=False)
+                assert tree.feature[i] in drawn, (t, i)
+                checked += 1
+        assert checked > 100
 
     @pytest.mark.parametrize("scaler", ["minmax", "maxabs"])
     def test_artifacts_reload_to_the_same_bytes(self, small_input, tmp_path, scaler):

@@ -261,13 +261,16 @@ def _decimal(draw):
 
 def _cast_outcome(cells):
     """The parse of one column of `cells` as numpy's string cast reads each
-    cell on its own: the column's bytes, or the first cell's error."""
+    cell on its own, but for a cell with an underscore, which is malformed:
+    the column's bytes, or the first cell's error."""
     values = []
     for row, cell in enumerate(cells, start=2):
         if not cell.strip(" "):
             values.append(np.nan)
             continue
         try:
+            if "_" in cell:
+                raise ValueError(cell)
             value = np.array([cell.encode()], dtype="S").astype(np.float64)[0]
         except ValueError:
             return f"malformed reading at row {row}, column 1"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from loadcast.errors import ConfigError, DataError
 from loadcast.features import SEASONS, build_samples
 from loadcast.readings import Readings
-from loadcast.splitting import SplitSpec, split
+from loadcast.splitting import SplitSpec, split, validation_split
 
 import oracles
 
@@ -162,3 +162,66 @@ def test_index_split_crosses_december_and_year_ends():
         got = split(samples, SplitSpec("single_season", season=season))
         expected = oracles.split_rows(stamps, "single_season", 0.8, season)
         assert [g.tolist() for g in got] == list(expected)
+
+
+def _group_key(ts, strategy):
+    if strategy == "monthly":
+        return (ts.year, ts.month)
+    return (ts.year + (ts.month == 12), ts.month % 12 // 3)  # December: next winter
+
+
+@pytest.mark.parametrize("strategy", ["monthly", "seasonal"])
+@pytest.mark.parametrize("fraction", [0.1, 0.3])
+def test_validation_rows_close_each_groups_training_rows(strategy, fraction):
+    # a year of days with a one-day February and a two-day March, so that
+    # some groups have too few training rows for a validation row
+    stamps = [ts for ts in daily_stamps(datetime(2015, 1, 1), 365)
+              if (ts.month, ts.day) not in {(2, d) for d in range(2, 29)}
+              and (ts.month, ts.day) not in {(3, d) for d in range(3, 32)}]
+    samples = samples_at(stamps)
+    core, validation = validation_split(
+        samples, SplitSpec(strategy, train_fraction=0.8), fraction
+    )
+    train, want_test = oracles.split_rows(stamps, strategy, 0.8)
+    groups = {}
+    for i in train:
+        groups.setdefault(_group_key(stamps[i], strategy), []).append(i)
+    want_core, want_validation = [], []
+    for key, rows in groups.items():
+        n = len(rows)
+        n_val = min(max(1, int(fraction * n)), n - 1)
+        assert n - n_val >= 1  # every group keeps a row to fit on
+        want_core += rows[:n - n_val]
+        want_validation += rows[n - n_val:]
+        group_test = [i for i in want_test if _group_key(stamps[i], strategy) == key]
+        if n_val and group_test:
+            # right before the group's test rows
+            assert rows[-1] + 1 == group_test[0]
+    assert core.tolist() == sorted(want_core)
+    assert validation.tolist() == sorted(want_validation)
+    assert {_group_key(stamps[i], strategy) for i in core} == set(groups)
+    # only the one-day February, a group of one training row, validates nothing
+    with_validation = {_group_key(stamps[i], strategy) for i in validation}
+    assert len(with_validation) == len(groups) - (strategy == "monthly")
+
+
+@pytest.mark.parametrize("spec", [
+    SplitSpec("ordered"), SplitSpec("single_season", season="summer"),
+])
+def test_one_group_validates_on_the_training_tail(spec):
+    # the rows the experiment took before validation rows came from groups
+    samples = samples_at(daily_stamps(datetime(2015, 1, 1), 365))
+    train, _ = split(samples, spec)
+    core, validation = validation_split(samples, spec, 0.1)
+    n_val = max(1, int(0.1 * len(train)))
+    assert core.tolist() == train[:-n_val].tolist()
+    assert validation.tolist() == train[-n_val:].tolist()
+
+
+def test_too_few_training_rows_for_validation():
+    # each group's one training row is kept for fitting
+    samples = samples_at(daily_stamps(datetime(2015, 1, 30), 4))
+    spec = SplitSpec("monthly", train_fraction=0.5)
+    assert [len(rows) for rows in split(samples, spec)] == [2, 2]
+    with pytest.raises(DataError, match="too small for validation rows"):
+        validation_split(samples, spec, 0.1)

@@ -13,7 +13,6 @@ from loadcast.tree import (
     dump_tree,
     fit_tree,
     grow_level_wise,
-    grow_tree,
     load_tree,
     predict_trees,
     presort,
@@ -87,25 +86,6 @@ class TestBestSplit:
             else:
                 assert cand is not None
                 assert (cand.feature_id, cand.threshold, cand.gain) == expected
-
-    def test_rows_without_order_score_only_those_rows(self):
-        rows = [0, 1, 2]
-        got = best_split(FOUR_POINT_X, FOUR_POINT_Y, rows=rows)
-        assert got == best_split(FOUR_POINT_X[rows], FOUR_POINT_Y[rows])
-        assert got.gain == pytest.approx(200 / 9)  # the 4-row split gains 25
-        rng = np.random.default_rng(5)
-        X = rng.integers(0, 4, (40, 3)).astype(float)
-        y = rng.normal(0, 5, 40)
-        rows = np.flatnonzero(rng.random(40) < 0.5)
-        order = presort(X)
-        narrowed = order[np.isin(order, rows)].reshape(3, -1)
-        got = best_split(X, y, rows=rows)
-        assert got == best_split(X, y, rows=rows, order=narrowed)
-        assert got == best_split(X[rows], y[rows])
-
-    def test_order_without_rows_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="without its rows"):
-            best_split(FOUR_POINT_X, FOUR_POINT_Y, order=presort(FOUR_POINT_X))
 
     def test_gain_positive_and_relative_bounded(self):
         rng = np.random.default_rng(9)
@@ -321,26 +301,62 @@ _CONSTANT_COLUMNS = st.lists(
 )
 
 
-def _sampler(seed, p, k):
-    """Per-node feature draws: k of p features, in no particular order."""
+def _keyed_draws(seed, p, k):
+    """(mask, sampler): k of p features per node, drawn from the node's own
+    stream keyed (seed, node id), as the grower's mask and as the oracle's
+    per-node feature ids; both None without a seed."""
     if seed is None:
-        return None
-    rng = np.random.default_rng(seed)
-    return lambda: rng.permutation(p)[:k]
+        return None, None
+
+    def sampler(node):
+        return np.random.default_rng((seed, node)).choice(p, size=k, replace=False)
+
+    def mask(nodes):
+        drawn = np.zeros((len(nodes), p), dtype=bool)
+        for row, node in zip(drawn, nodes.tolist()):
+            row[sampler(node)] = True
+        return drawn
+
+    return mask, sampler
+
+
+def _with_constant_columns(X, constants):
+    for at, value in constants:
+        # None: a column of 0.0 and -0.0, equal values of two signs
+        column = (np.where(np.arange(len(X)) % 2, 0.0, -0.0) if value is None
+                  else np.full(len(X), value))
+        X = np.insert(X, min(at, X.shape[1]), column, axis=1)
+    return X
+
+
+def _oracle_tree(X, y, config, sampler=None):
+    return json.dumps(oracles.per_node_tree(
+        X, y, config.max_depth, config.min_gain, config.min_samples_split,
+        config.gain_mode, sampler,
+    ), sort_keys=True)
 
 
 class TestGrowerOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_tree_problems())
     def test_same_tree_as_the_per_node_grower(self, problem):
+        X, y, config, _, _ = problem
+        assert dump_tree(fit_tree(X, y, config)) == _oracle_tree(X, y, config)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tree_problems(), _CONSTANT_COLUMNS)
+    def test_keyed_masks_grow_the_per_node_tree(self, problem, constants):
+        # the same keyed draw per node id, breadth-first ids on both sides
         X, y, config, seed, k = problem
-        p = X.shape[1]
-        got = dump_tree(fit_tree(X, y, config, _sampler(seed, p, k)))
-        want = oracles.per_node_tree(
-            X, y, config.max_depth, config.min_gain, config.min_samples_split,
-            config.gain_mode, _sampler(seed, p, k),
-        )
-        assert got == json.dumps(want, sort_keys=True)
+        X = _with_constant_columns(X, constants)
+        mask, sampler = _keyed_draws(seed, X.shape[1], k)
+        got = grow_level_wise(X, y, presort(X), config, mask)
+        want = _oracle_tree(X, y, config, sampler)
+        assert dump_tree(got) == want
+        # the ids the masks were keyed by are those of the reloaded tree
+        reloaded = load_tree(want)
+        for name in ("feature", "threshold", "child", "value", "n_samples"):
+            assert getattr(got, name).tobytes() == getattr(reloaded, name).tobytes(), name
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_tree_problems())
@@ -348,7 +364,8 @@ class TestGrowerOracle:
         # each training row is predicted the mean of the rows in its leaf,
         # with the bits of their ascending sum over their count
         X, y, config, seed, k = problem
-        tree = grow_tree(X, y, presort(X), config, _sampler(seed, X.shape[1], k))
+        mask, _ = _keyed_draws(seed, X.shape[1], k)
+        tree = grow_level_wise(X, y, presort(X), config, mask)
         leaf_of = np.array([walk(tree, row)[-1] for row in X])
         fitted = np.empty(len(y))
         for leaf in np.unique(leaf_of):
@@ -356,17 +373,6 @@ class TestGrowerOracle:
             fitted[rows] = y[rows].sum() / len(rows)
             assert tree.n_samples[leaf] == len(rows)
         assert fitted.tobytes() == tree.predict_many(X).tobytes()
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_tree_problems(), _CONSTANT_COLUMNS)
-    def test_level_wise_grower_is_the_depth_first_one(self, problem, constants):
-        X, y, config, _, _ = problem
-        for at, value in constants:
-            # None: a column of 0.0 and -0.0, equal values of two signs
-            column = (np.where(np.arange(len(y)) % 2, 0.0, -0.0) if value is None
-                      else np.full(len(y), value))
-            X = np.insert(X, min(at, X.shape[1]), column, axis=1)
-        _assert_same_growth(X, y, config)
 
     def test_level_wise_grower_on_larger_samples(self):
         # past numpy's 8-wide and 128-row pairwise-sum blocks, with levels of
@@ -376,21 +382,19 @@ class TestGrowerOracle:
             X = rng.integers(0, 12, (n, p)).astype(float)
             X[:, 0] = rng.normal(0, 1, n)
             y = rng.normal(50, 20, n) + 5 * X[:, 1]
-            for config in (
-                TreeConfig(),
-                TreeConfig(max_depth=10, min_gain=0.0),
-                TreeConfig(max_depth=6, min_gain=0.01, min_samples_split=5,
-                           gain_mode="absolute"),
+            for config, seed in (
+                (TreeConfig(), None),
+                (TreeConfig(max_depth=10, min_gain=0.0), None),
+                (TreeConfig(max_depth=10, min_gain=0.0), 7),
+                (TreeConfig(max_depth=6, min_gain=0.01, min_samples_split=5,
+                            gain_mode="absolute"), 8),
             ):
-                _assert_same_growth(X, y, config)
+                mask, sampler = _keyed_draws(seed, p, 2)
+                got = grow_level_wise(X, y, presort(X), config, mask)
+                assert dump_tree(got) == _oracle_tree(X, y, config, sampler)
 
     def test_level_wise_grower_without_features(self):
-        _assert_same_growth(np.empty((4, 0)), FOUR_POINT_Y, TreeConfig())
-
-
-def _assert_same_growth(X, y, config):
-    order = presort(X)
-    want = grow_tree(X, y, order, config)
-    got = grow_level_wise(X, y, order, config)
-    assert dump_tree(got) == dump_tree(want)
-    assert got.predict_many(X).tobytes() == want.predict_many(X).tobytes()
+        X = np.empty((4, 0))
+        got = fit_tree(X, FOUR_POINT_Y, TreeConfig())
+        assert dump_tree(got) == _oracle_tree(X, FOUR_POINT_Y, TreeConfig())
+        assert got.feature.tolist() == [-1]
