@@ -133,16 +133,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "split", validation_split, samples, config.split, config.validation_fraction
     )
 
-    X_core, y_core = samples.X[train_core], samples.y[train_core]
-    X_val, y_val = samples.X[validation], samples.y[validation]
-    X_test, y_test = samples.X[test], samples.y[test]
-
-    scaler = None
+    X, scaler = samples.X, None
     if config.scaler is not None:
-        scaler = _stage("scale", fit_scaler, X_core, names, config.scaler)
-        X_core = scaler.transform(X_core)
-        X_val = scaler.transform(X_val)
-        X_test = scaler.transform(X_test)
+        scaler = _stage("scale", fit_scaler, X[train_core], names, config.scaler)
+        # elementwise: each row gets the bits a transform of its subset gives
+        X = scaler.transform(X)
+    X_core, y_core = X[train_core], samples.y[train_core]
+    X_val, y_val = X[validation], samples.y[validation]
+    X_test, y_test = X[test], samples.y[test]
 
     forest = _stage("train-forest", fit_forest, X_core, y_core, config.forest)
     gbt = _stage("train-gbt", fit_gbt, X_core, y_core, config.gbt)

@@ -103,9 +103,8 @@ def parse_readings(data: bytes | str) -> Readings:
     A str is encoded once. Bytes that are not UTF-8 raise UnicodeDecodeError,
     positioned as decoding the whole input would position it. The data rows
     are parsed in blocks of whole lines of about BLOCK_BYTES each, into
-    arrays sized once from the line count. A block is read in place unless
-    it holds a lone CR: then its line ends are made newlines in a copy of
-    that block only. So beside the input and the result only one block's
+    arrays sized once from the line count. Each block is read in place, as a
+    view of the input, so beside the input and the result only one block's
     temporaries are held. The first error in file order is the one raised.
     """
     if isinstance(data, str):
@@ -142,15 +141,7 @@ def parse_readings(data: bytes | str) -> Readings:
                 cut = _line_end(data, stop)
             elif cut > pos and data[cut - 1 : cut + 1] == b"\r\n":
                 cut -= 1
-        # only a block with a lone CR is copied, and only a file with one
-        # can have such a block
-        if crs > crlfs and (
-            data.count(b"\r", pos, cut) > data.count(b"\r\n", pos, cut)
-        ):
-            text = data[pos:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            block = np.frombuffer(text, np.uint8)
-        else:
-            block = np.frombuffer(data, np.uint8, cut - pos, pos)
+        block = np.frombuffer(data, np.uint8, cut - pos, pos)
         last = timestamps[n - 1] if n else np.datetime64("NaT")
         rows, lines = _parse_block(block, line, n_cols, last, timestamps[n:], values[n:])
         n += rows
@@ -192,14 +183,22 @@ def _check_utf8(data: bytes) -> None:
 def _parse_block(buf, first_line, n_cols, last, timestamps, values) -> tuple:
     """Parse `buf`, whole lines without the last one's line break, into the
     first rows of `timestamps` and `values`; return the numbers of rows and
-    of lines, blank ones included. Lines end at LF or CRLF: `buf` holds no
-    lone CR. `first_line` is the index of the block's first line in the file
-    and `last` the timestamp of the row before the block (NaT for none).
-    Raises the block's first error."""
-    newlines = np.flatnonzero(buf == ord("\n"))
-    crlf = buf[np.maximum(newlines - 1, 0)] == ord("\r")
-    line_start = np.concatenate(([0], newlines + 1))
-    line_end = np.concatenate((newlines - crlf, [buf.size]))
+    of lines, blank ones included. A line ends at an LF, a lone CR or the CR
+    of a CRLF, whose LF then ends no line of its own; `buf` never ends
+    between the two. `first_line` is the index of the block's first line in
+    the file and `last` the timestamp of the row before the block (NaT for
+    none). Raises the block's first error."""
+    # the bytes <= CR: every CR and LF, and any tab or other control byte
+    low = np.flatnonzero(buf <= ord("\r"))
+    byte = buf[low]
+    is_cr = byte == ord("\r")
+    # an LF right after a CR is a CRLF's second byte, and ends no line
+    second = np.append(False, is_cr[:-1] & (byte[1:] == ord("\n")) & (np.diff(low) == 1))
+    is_end = (is_cr | (byte == ord("\n"))) & ~second
+    ends = low[is_end]
+    crlf = np.append(second[1:], False)[is_end]  # the end is a CRLF's CR
+    line_start = np.concatenate(([0], ends + 1 + crlf))
+    line_end = np.concatenate((ends, [buf.size]))
     lines = np.flatnonzero(line_end > line_start)  # row number: first_line + index + 1
     start, end = line_start[lines], line_end[lines]
 
@@ -418,10 +417,13 @@ def interpolate_nulls(readings: Readings) -> Readings:
     return Readings(readings.timestamps, values)
 
 
+@np.errstate(over="ignore")  # an overflowed sum is inf, reported as too large
 def aggregate(readings: Readings, granularity: Granularity) -> Readings:
     """Sum meters into a building total per minute, then average totals per
     (date, bucket) group: one row per bucket, holding its start and mean.
-    Buckets with no readings are simply absent."""
+    Buckets with no readings are simply absent. A model fit squares sums of
+    up to all the means, so the first bucket whose mean m gives
+    (buckets * m)**2 = inf raises DataError."""
     nulls = np.isnan(readings.values).any(axis=1)
     if nulls.any():
         ts = readings.timestamps[np.argmax(nulls)].item()
@@ -447,4 +449,9 @@ def aggregate(readings: Readings, granularity: Granularity) -> Readings:
     for size in np.unique(sizes):
         same = sizes == size
         means[same] = totals[first[same][:, None] + np.arange(size)].mean(axis=1)
+    big = ~np.isfinite((len(means) * means) ** 2)
+    if big.any():
+        i = int(np.argmax(big))
+        raise DataError(f"the bucket starting {starts[first[i]]} averages {means[i]:.6g} kW, "
+                        f"too large to fit a model on {len(means)} buckets")
     return Readings(starts[first], means[:, None])

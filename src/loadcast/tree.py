@@ -122,23 +122,21 @@ def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
     return value[at].reshape(len(trees), len(X))
 
 
-def best_split(
-    X: np.ndarray, y: np.ndarray, feature_ids: Optional[Sequence[int]] = None
-) -> Optional[SplitCandidate]:
+def best_split(X: np.ndarray, y: np.ndarray) -> Optional[SplitCandidate]:
     """Best (feature, midpoint-threshold) by variance reduction over all rows.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. The features of `feature_ids` (all by default)
-    are scored in one pass of `_best_cuts`, the one-node case of the level
-    scorer. Returns None when the parent variance is zero or no candidate has
-    positive gain. Ties break to the lowest feature_id, then the lowest
-    threshold: the first maximum over (sorted feature, cut position), as an
-    ascending scan that keeps only strict improvements would find it.
+    values of each feature. Every column of X is scored in one pass of
+    `_best_cuts`, the one-node case of the level scorer. Returns None when X
+    has no columns, the parent variance is zero or no candidate has positive
+    gain. Ties break to the lowest feature_id, then the lowest threshold: the
+    first maximum over (feature, cut position), as an ascending scan that
+    keeps only strict improvements would find it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < 2:
+    if n < 2 or X.shape[1] == 0:
         return None
 
     sy = float(y.sum())
@@ -148,21 +146,15 @@ def best_split(
     if var_parent <= 0.0:
         return None
 
-    if feature_ids is None:
-        fids = np.arange(X.shape[1])
-    else:
-        fids = np.sort(np.asarray(feature_ids, dtype=np.intp))
-    if len(fids) == 0:
-        return None
-    idx = presort(X[:, fids])
-    xs = X[idx, fids[:, None]]
+    idx = presort(X)
+    xs = X[idx, np.arange(X.shape[1])[:, None]]
     gain, f, j = _best_cuts(xs[None], y[idx][None], np.array([n]), np.array([sse_parent]))
     best = gain[0]
     if best == -np.inf:
         return None
     f, j = int(f[0]), int(j[0])
     return SplitCandidate(
-        feature_id=int(fids[f]),
+        feature_id=f,
         threshold=float((xs[f, j] + xs[f, j + 1]) / 2),
         gain=float(best),
         relative_gain=float(best / var_parent),

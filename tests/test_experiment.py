@@ -394,6 +394,32 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "UTC offset at row 3" in proc.stderr
 
+    @pytest.mark.parametrize("reading, day, mean", [
+        ("1e200", "2015-01-01", "2e+200"),  # finite, but its square overflows
+        ("1.5e308", "2015-01-02", "inf"),  # the sum of two meters overflows
+    ])
+    def test_targets_too_large_to_fit_exit_code(self, tmp_path, reading, day, mean):
+        # two meters, two daily buckets; the readings of `day` are `reading`
+        data = tmp_path / "huge.csv"
+        data.write_text("timestamp,a,b\n" + "".join(
+            f"{stamp},{cell},{cell}\n"
+            for stamp in ("2015-01-01T00:00", "2015-01-01T12:00",
+                          "2015-01-02T00:00", "2015-01-02T12:00")
+            for cell in [reading if stamp.startswith(day) else "1"]
+        ))
+        env = dict(os.environ, PYTHONPATH=str(Path(loadcast.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loadcast.cli", "run", "--input", str(data),
+             "--out-dir", str(tmp_path / "out"), "--granularity", "1440"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        # the whole of stderr: no RuntimeWarning precedes the error
+        assert proc.stderr == (
+            f"data error: [aggregate] the bucket starting {day}T00:00 averages "
+            f"{mean} kW, too large to fit a model on 2 buckets\n"
+        )
+
     def test_defaults_come_from_the_dataclasses(self, tmp_path):
         data = tmp_path / "d.csv"
         generate_synthetic(SyntheticSpec(days=40, meters=1, seed=2), data)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -96,6 +97,11 @@ class TestParse:
         with pytest.raises(DataError, match="negative reading at row 4"):
             parse_readings(
                 "timestamp,a\r\n\r\n2015-01-01T00:00,1\r2015-01-01T00:01,-1\n"
+            )
+        # CR CR is two line ends, and CR CRLF two as well
+        with pytest.raises(DataError, match="negative reading at row 5"):
+            parse_readings(
+                "timestamp,a\r\r2015-01-01T00:00,1\r\r\n2015-01-01T00:01,-1\r"
             )
 
 
@@ -347,16 +353,28 @@ class TestBlocks:
             text = text[: -len(endings[len(lines) - 1])]
         data = text.encode()
         whole = _outcome(data)
+        # a CRLF is one line end and a lone CR another, each read as an LF
+        assert whole == _outcome(text.replace("\r\n", "\n").replace("\r", "\n").encode())
         with mock.patch.object(readings_module, "BLOCK_BYTES", block):
             assert _outcome(data) == whole
         assert _outcome(text) == whole  # a str parses as its UTF-8 bytes
 
     def test_block_edges_on_a_large_input(self):
-        data = _minute_csv(3000)
+        # LF, CRLF, lone CR and a cycle of the three must all parse as LF
+        data = _minute_csv(1000)
         whole = _outcome(data)
-        for block in (1, 59, 60, 61, 4096):
-            with mock.patch.object(readings_module, "BLOCK_BYTES", block):
-                assert _outcome(data) == whole
+        lines = data.split(b"\n")
+        mixed = itertools.cycle((b"\n", b"\r\n", b"\r"))
+        variants = [data, data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"),
+                    b"".join(line + next(mixed) for line in lines[:-1])]
+        # in the CRLF input, the first block's bytes stop between the CR and
+        # the LF of data row 49 with this size, and just after the LF with
+        # one more
+        width = len(b"\r\n".join(lines[1:50])) + 1
+        for variant in variants:
+            for block in (1, 59, 60, 61, width, width + 1, 4096):
+                with mock.patch.object(readings_module, "BLOCK_BYTES", block):
+                    assert _outcome(variant) == whole
 
     @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
     def test_peak_memory_is_the_result_and_a_few_blocks(self, monkeypatch, line_end):
