@@ -233,7 +233,10 @@ def _write_outputs(out_dir: Path, texts: dict) -> dict:
 
 
 def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
-    """Slice [anchor, anchor + 7 days) out of a prediction CSV."""
+    """Slice [anchor, anchor + 7 days) out of a prediction CSV, read by
+    `parse_readings` under the exact PREDICTION_COLUMNS header and written as
+    `run_experiment` writes it. A malformed row, a blank cell or a stamp that
+    is not a whole minute raises DataError naming the file and the row."""
     predictions_csv = Path(predictions_csv)
     out_path = Path(out_path)
     if anchor.tzinfo is not None:
@@ -246,30 +249,26 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
             f"anchor {anchor.isoformat()}: its 7-day window ends past year 9999"
         )
     try:
-        reader = csv.reader(io.StringIO(predictions_csv.read_text()))
+        text = predictions_csv.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read prediction file {predictions_csv}: {exc}")
-    header = next(reader, None)
-    if header is None or tuple(header) != PREDICTION_COLUMNS:
+    header = text.partition("\n")[0].split(",") if text else None
+    if header != list(PREDICTION_COLUMNS):
         raise DataError(f"unexpected prediction CSV header: {header}")
-    kept = []
-    for row_no, row in enumerate(reader, start=2):
-        try:
-            ts = datetime.fromisoformat(row[0])
-        except (IndexError, ValueError):
-            raise DataError(
-                f"malformed timestamp at row {row_no} of {predictions_csv}"
-            )
-        if anchor <= ts < end:
-            kept.append(row)
-    if not kept:
-        raise DataError(
-            f"empty window: no test predictions in "
-            f"[{anchor.isoformat()}, {end.isoformat()})"
-        )
     try:
-        with out_path.open("w", newline="") as fh:
-            csv.writer(fh).writerows([PREDICTION_COLUMNS, *kept])
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc}")
-    return out_path
+        rows = parse_readings(text)
+        stamps = rows.timestamps.astype("datetime64[m]")
+        blank = np.isnan(rows.values).any(axis=1)
+        bad = blank | (stamps != rows.timestamps)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "a blank cell" if blank[i] else "a stamp that is not a whole minute"
+            raise DataError(f"{what} in the row stamped {rows.timestamps[i]}")
+    except DataError as exc:
+        raise DataError(f"{predictions_csv}: {exc}") from exc
+    first, stop = np.searchsorted(rows.timestamps, np.array([anchor, end], "M8[us]"))
+    if first == stop:
+        window = f"[{anchor.isoformat()}, {end.isoformat()})"
+        raise DataError(f"empty window: no test predictions in {window}")
+    week = _predictions_csv(stamps[first:stop], *rows.values[first:stop].T)
+    return _write_outputs(out_path.parent, {"week": (out_path.name, week)})["week"]

@@ -113,8 +113,10 @@ def build_samples(
 
     Lag k of bucket i is the target of bucket max(i - k, 0): offsets reaching
     before the first bucket fall back to its target, so the first bucket sees
-    its own target as every lag. So lags need every bucket of `granularity`
-    from the first to the last: a missing one raises DataError.
+    its own target as every lag, and an offset at or past the bucket count,
+    however large, reads the first bucket in every row. So lags need every
+    bucket of `granularity` from the first to the last: a missing one raises
+    DataError.
     """
     timestamps = buckets.timestamps.astype("datetime64[m]")
     y = buckets.values[:, 0]
@@ -131,5 +133,8 @@ def build_samples(
                 "need every bucket from the first to the last"
             )
         rows = np.arange(len(y))
-        X = np.column_stack([X] + [y[np.maximum(rows - k, 0)] for k in lag_offsets])
+        # min: an offset past the buckets reads bucket 0 without an int64 overflow
+        X = np.column_stack(
+            [X] + [y[np.maximum(rows - min(k, len(y)), 0)] for k in lag_offsets]
+        )
     return Samples(timestamps, X, y)

@@ -234,6 +234,22 @@ def test_week_on_edge_and_malformed_anchors(anchor):
     assert code in EXIT_CODES
 
 
+# rows broken one way each, put where the window from 2015-01-01 holds them
+_BROKEN_ROWS = {
+    "utc-offset": b"2015-01-03T13:00+01:00,1.0,2.0,3.0,4.0\n",
+    "out-of-order": b"2015-01-02T00:00,1.0,2.0,3.0,4.0\n",
+    "blank-cell": b"2015-01-03T13:00,1.0,,3.0,4.0\n",
+    "negative": b"2015-01-03T13:00,1.0,-2.0,3.0,4.0\n",
+    "six-columns": b"2015-01-03T13:00,1.0,2.0,3.0,4.0,5.0\n",
+}
+
+
+def _with_row(extra: bytes) -> bytes:
+    """_PREDICTIONS with `extra` after its 2015-01-03T12:00 row."""
+    lines = _PREDICTIONS.splitlines(keepends=True)
+    return b"".join(lines[:5] + [extra] + lines[5:])
+
+
 @pytest.mark.parametrize("files, predictions, out, code", [
     # a byte that is not UTF-8 after the rows: a data error
     ({"predictions.csv": _PREDICTIONS + b"\xff\n"}, "predictions.csv", "week.csv", 3),
@@ -242,12 +258,48 @@ def test_week_on_edge_and_malformed_anchors(anchor):
     ({}, ".", "week.csv", 3),
     # an output in a directory that does not exist: a config error
     ({"predictions.csv": _PREDICTIONS}, "predictions.csv", "absent/week.csv", 2),
-], ids=["not-utf8", "absent", "directory", "out-dir-absent"])
+    # a malformed row anywhere in the file: a data error
+    *(({"predictions.csv": _with_row(row)}, "predictions.csv", "week.csv", 3)
+      for row in _BROKEN_ROWS.values()),
+], ids=["not-utf8", "absent", "directory", "out-dir-absent", *_BROKEN_ROWS])
 def test_week_on_unreadable_predictions_or_out(files, predictions, out, code):
     assert _run(files, lambda root: [
         "week", "--predictions", str(root / predictions), "--anchor", "2015-01-01",
         "--out", str(root / out),
     ]) == code
+
+
+# hourly prediction rows, and edits that each make a row malformed
+_ROWS = [b"2015-01-01T%02d:00,%d.5,1.25,2.0,0.0" % (h, h) for h in range(24)]
+_FAULTS = {
+    "utc offset": lambda row: row.replace(b",", b"+01:00,", 1),
+    "seconds": lambda row: row.replace(b",", b":30,", 1),
+    "repeated": lambda row: row + b"\n" + row,
+    "blank cell": lambda row: row.replace(b",1.25,", b",,"),
+    "negative": lambda row: row.replace(b",1.25,", b",-1.25,"),
+    "nan": lambda row: row.replace(b",1.25,", b",nan,"),
+    "two columns": lambda row: row.split(b",")[0] + b",1.0",
+    "six columns": lambda row: row + b",1.0",
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 23), st.sampled_from(sorted(_FAULTS))),
+                max_size=3),
+       st.sampled_from(("2015-01-01", "2015-01-01T12:00", "2014-12-26")))
+def test_week_on_malformed_prediction_rows(faults, anchor):
+    rows = list(_ROWS)
+    for i, fault in faults:
+        rows[i] = _FAULTS[fault](rows[i])
+    header = ",".join(PREDICTION_COLUMNS).encode()
+    code = _run(
+        {"predictions.csv": b"\n".join([header, *rows]) + b"\n"},
+        lambda root: ["week", "--predictions", str(root / "predictions.csv"),
+                      "--anchor", anchor, "--out", str(root / "week.csv")],
+    )
+    assert code in EXIT_CODES
+    # every fault is a data error, wherever its row falls
+    assert code == (3 if faults else 0)
 
 
 _START = st.one_of(

@@ -322,6 +322,23 @@ class TestWeekSeries:
             ts = datetime.fromisoformat(row[0])
             assert anchor <= ts and (ts - anchor).days < 7
 
+    def test_slice_is_the_run_lines_in_the_window(self, tmp_path):
+        # an hourly lagged run whose test rows span February's end; the
+        # window cuts rows on both sides and crosses into March
+        data = tmp_path / "d.csv"
+        generate_synthetic(SyntheticSpec(start=date(2015, 1, 15), days=50,
+                                         meters=1, seed=6), data)
+        result = run_experiment(small_config(data, tmp_path / "out", lags=True))
+        lines = result.files["predictions"].read_bytes().splitlines(keepends=True)
+        anchor, end = b"2015-02-26T07:00", b"2015-03-05T07:00"
+        kept = [line for line in lines[1:] if anchor <= line[:16] < end]
+        assert lines[1][:16] < anchor and lines[-1][:16] >= end
+        assert kept[0][:7] == b"2015-02" and kept[-1][:7] == b"2015-03"
+        out = emit_week_series(result.files["predictions"],
+                               datetime.fromisoformat(anchor.decode()),
+                               tmp_path / "week.csv")
+        assert out.read_bytes() == b"".join([lines[0], *kept])
+
     def test_empty_window(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
         with pytest.raises(DataError, match="empty window"):
@@ -371,6 +388,9 @@ class TestCli:
             pytest.param(["--lags", "--lag-offsets=1,x"], id="1,x"),
             pytest.param(["--lags", "--lag-offsets=24,24"], id="24,24"),
             pytest.param(["--lag-offsets=24"], id="24-without-lags"),
+            # an empty list is not the defaults
+            pytest.param(["--lags", "--lag-offsets="], id="empty"),
+            pytest.param(["--lag-offsets=,"], id="comma-without-lags"),
         ],
     )
     def test_bad_lag_offsets_exit_code(self, tmp_path, capsys, flags):

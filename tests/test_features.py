@@ -137,6 +137,18 @@ def test_lags_from_history():
     assert lags[5] == (14.0, 12.0)
 
 
+def test_offsets_at_or_past_the_bucket_count_read_the_first_bucket():
+    # an offset too large for int64 reads bucket 0 in every row, as one equal
+    # to the bucket count does
+    stamps = [datetime(2015, 1, 1) + timedelta(hours=i) for i in range(6)]
+    series = buckets(stamps, [10.0 + i for i in range(6)])
+    huge = build_samples(series, (2, 10**20), Granularity(60))
+    assert huge.X[:, -1].tolist() == [10.0] * 6
+    for k in (6, 7, 2**63 - 1, 2**63):
+        exact = build_samples(series, (2, k), Granularity(60))
+        assert huge.X.tobytes() == exact.X.tobytes()
+
+
 def test_lags_need_every_bucket():
     # lag k reads the bucket k places back, so after a missing bucket it
     # would read one from further back than k buckets
