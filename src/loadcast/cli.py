@@ -99,14 +99,11 @@ def _parse_bool(text) -> bool:
 
 def _parse_offsets(text):
     try:
-        offsets = tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        offsets = ()
-    if not offsets:
         raise ConfigError(
             f"lag offsets must be comma-separated integers, got {text!r}"
         )
-    return offsets
 
 
 def _split_spec(name, train_fraction) -> SplitSpec:

@@ -61,6 +61,8 @@ class ExperimentConfig:
             )
         if self.scaler is not None and self.scaler not in SCALER_KINDS:
             raise ConfigError(f"unknown scaler {self.scaler!r}")
+        if self.lag_offsets is not None and not self.lag_offsets:
+            raise ConfigError("lag offsets must not be empty, got []")
         if self.lag_offsets and not self.lags:
             raise ConfigError(
                 f"lag offsets {list(self.lag_offsets)} given, but lags are off"
@@ -234,11 +236,10 @@ def _write_outputs(out_dir: Path, texts: dict) -> dict:
 
 def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
     """Slice [anchor, anchor + 7 days) out of a prediction CSV, read by
-    `parse_readings` under the exact PREDICTION_COLUMNS header and written as
-    `run_experiment` writes it. A malformed row, a blank cell or a stamp that
-    is not a whole minute raises DataError naming the file and the row."""
-    predictions_csv = Path(predictions_csv)
-    out_path = Path(out_path)
+    `parse_readings` with signed cells under the exact PREDICTION_COLUMNS
+    header, and write it as `run_experiment` writes predictions. A malformed
+    row, a blank cell or a stamp that is not a whole minute is a DataError."""
+    predictions_csv, out_path = Path(predictions_csv), Path(out_path)
     if anchor.tzinfo is not None:
         # prediction timestamps are naive local times, as in the input
         raise ConfigError(f"anchor {anchor.isoformat()} must not carry a UTC offset")
@@ -256,14 +257,16 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
     if header != list(PREDICTION_COLUMNS):
         raise DataError(f"unexpected prediction CSV header: {header}")
     try:
-        rows = parse_readings(text)
+        rows = parse_readings(text, signed=True)  # an estimate may fall below 0
         stamps = rows.timestamps.astype("datetime64[m]")
         blank = np.isnan(rows.values).any(axis=1)
         bad = blank | (stamps != rows.timestamps)
         if bad.any():
             i = int(np.argmax(bad))
             what = "a blank cell" if blank[i] else "a stamp that is not a whole minute"
-            raise DataError(f"{what} in the row stamped {rows.timestamps[i]}")
+            # the header is row 1, and blank lines count, as in parser errors
+            row, line = [(k, s) for k, s in enumerate(text.split("\n"), 1) if s][i + 1]
+            raise DataError(f"{what} at row {row}: {line!r}")
     except DataError as exc:
         raise DataError(f"{predictions_csv}: {exc}") from exc
     first, stop = np.searchsorted(rows.timestamps, np.array([anchor, end], "M8[us]"))

@@ -89,16 +89,18 @@ _CELL_PROBLEMS = {
 BLOCK_BYTES = 1 << 20
 
 
-def parse_readings(data: bytes | str) -> Readings:
+def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
     """Parse a readings CSV, given as its UTF-8 bytes, into columns.
 
     Rows are separated by newlines (a CRLF or a lone CR counts as one), cells
     by commas, without quoting. Blank lines are skipped. A timestamp is
     YYYY-MM-DD, optionally followed by 'T' or a space and HH:MM, HH:MM:SS or
     HH:MM:SS.ffffff, in local time: a UTC offset is rejected. A cell that is
-    empty or whitespace is a null. A file without data rows is rejected. Row
-    numbers in error messages count the header as row 1 and include blank
-    lines.
+    empty or whitespace is a null. A negative cell is rejected unless
+    `signed` (a prediction file's estimates may fall below zero). A file
+    without data rows is rejected. Row numbers in error messages count the
+    header as row 1 and include blank lines, and column numbers count the
+    cells after the timestamp.
 
     A str is encoded once. Bytes that are not UTF-8 raise UnicodeDecodeError,
     positioned as decoding the whole input would position it. The data rows
@@ -143,7 +145,9 @@ def parse_readings(data: bytes | str) -> Readings:
                 cut -= 1
         block = np.frombuffer(data, np.uint8, cut - pos, pos)
         last = timestamps[n - 1] if n else np.datetime64("NaT")
-        rows, lines = _parse_block(block, line, n_cols, last, timestamps[n:], values[n:])
+        rows, lines = _parse_block(
+            block, line, n_cols, last, signed, timestamps[n:], values[n:]
+        )
         n += rows
         line += lines
         pos = _next_line(data, cut)
@@ -180,14 +184,14 @@ def _check_utf8(data: bytes) -> None:
         raise
 
 
-def _parse_block(buf, first_line, n_cols, last, timestamps, values) -> tuple:
+def _parse_block(buf, first_line, n_cols, last, signed, timestamps, values) -> tuple:
     """Parse `buf`, whole lines without the last one's line break, into the
     first rows of `timestamps` and `values`; return the numbers of rows and
     of lines, blank ones included. A line ends at an LF, a lone CR or the CR
     of a CRLF, whose LF then ends no line of its own; `buf` never ends
     between the two. `first_line` is the index of the block's first line in
     the file and `last` the timestamp of the row before the block (NaT for
-    none). Raises the block's first error."""
+    none); `signed` accepts negative cells. Raises the block's first error."""
     # the bytes <= CR: every CR and LF, and any tab or other control byte
     low = np.flatnonzero(buf <= ord("\r"))
     byte = buf[low]
@@ -220,6 +224,8 @@ def _parse_block(buf, first_line, n_cols, last, timestamps, values) -> tuple:
         values[:n, j], problem[:, j] = _parse_cells(
             buf, cell_start, cell_end - cell_start
         )
+    if signed:
+        problem[problem == _NEGATIVE] = 0
 
     bad_timestamp = np.isnat(stamps)
     non_monotonic = np.empty(n, dtype=bool)

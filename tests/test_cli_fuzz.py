@@ -239,7 +239,6 @@ _BROKEN_ROWS = {
     "utc-offset": b"2015-01-03T13:00+01:00,1.0,2.0,3.0,4.0\n",
     "out-of-order": b"2015-01-02T00:00,1.0,2.0,3.0,4.0\n",
     "blank-cell": b"2015-01-03T13:00,1.0,,3.0,4.0\n",
-    "negative": b"2015-01-03T13:00,1.0,-2.0,3.0,4.0\n",
     "six-columns": b"2015-01-03T13:00,1.0,2.0,3.0,4.0,5.0\n",
 }
 
@@ -269,14 +268,14 @@ def test_week_on_unreadable_predictions_or_out(files, predictions, out, code):
     ]) == code
 
 
-# hourly prediction rows, and edits that each make a row malformed
-_ROWS = [b"2015-01-01T%02d:00,%d.5,1.25,2.0,0.0" % (h, h) for h in range(24)]
+# hourly prediction rows, a negative estimate among them (boosting can
+# predict below 0), and edits that each make a row malformed
+_ROWS = [b"2015-01-01T%02d:00,%d.5,1.25,-0.5,0.0" % (h, h) for h in range(24)]
 _FAULTS = {
     "utc offset": lambda row: row.replace(b",", b"+01:00,", 1),
     "seconds": lambda row: row.replace(b",", b":30,", 1),
     "repeated": lambda row: row + b"\n" + row,
     "blank cell": lambda row: row.replace(b",1.25,", b",,"),
-    "negative": lambda row: row.replace(b",1.25,", b",-1.25,"),
     "nan": lambda row: row.replace(b",1.25,", b",nan,"),
     "two columns": lambda row: row.split(b",")[0] + b",1.0",
     "six columns": lambda row: row + b",1.0",

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +212,12 @@ class TestRunExperiment:
             (True, (-1, 2), "must be >= 1"),
             (True, (24, 24), "must not repeat"),
             (False, (24,), "given, but lags are off"),
+            # an empty list is not the defaults, with lags or without
+            (True, (), "must not be empty"),
+            (False, [], "must not be empty"),
         ],
-        ids=["offsets0", "offsets1", "repeated", "without-lags"],
+        ids=["offsets0", "offsets1", "repeated", "without-lags", "empty",
+             "empty-without-lags"],
     )
     def test_lag_offsets_below_one_rejected(self, tmp_path, lags, offsets, match):
         with pytest.raises(ConfigError, match=f"lag offsets .*{match}"):
@@ -338,6 +342,44 @@ class TestWeekSeries:
                                datetime.fromisoformat(anchor.decode()),
                                tmp_path / "week.csv")
         assert out.read_bytes() == b"".join([lines[0], *kept])
+
+    def test_negative_estimates_are_copied(self, tmp_path):
+        # boosting shallow trees at shrinkage 1 over a mostly-zero series
+        # overshoots zero targets, so the run writes estimates below 0
+        rng = np.random.default_rng(2)
+        hours = np.datetime64("2015-01-01T00:00") + np.arange(24 * 30).astype("m8[h]")
+        loads = np.where(rng.random(len(hours)) < 0.1, rng.random(len(hours)) * 10, 0.0)
+        data = tmp_path / "spikes.csv"
+        data.write_text("timestamp,meter_1\n" + "".join(
+            f"{stamp},{load!r}\n"
+            for stamp, load in zip(np.datetime_as_string(hours, unit="m"), loads.tolist())
+        ))
+        gbt = GbtConfig(n_rounds=5, shrinkage=1.0,
+                        tree=TreeConfig(max_depth=2, min_gain=0.0))
+        result = run_experiment(small_config(data, tmp_path / "out", gbt=gbt))
+        lines = result.files["predictions"].read_bytes().splitlines(keepends=True)
+        anchor = lines[1][:16]
+        end = datetime.fromisoformat(anchor.decode()) + timedelta(days=7)
+        kept = [line for line in lines[1:]
+                if line[:16] < end.isoformat(timespec="minutes").encode()]
+        assert any(line.split(b",")[3].startswith(b"-") for line in kept)
+        assert main(["week", "--predictions", str(result.files["predictions"]),
+                     "--anchor", anchor.decode(), "--out", str(tmp_path / "week.csv")]) == 0
+        assert (tmp_path / "week.csv").read_bytes() == b"".join([lines[0], *kept])
+
+    @pytest.mark.parametrize("row, fault", [
+        ("2015-01-01T02:00,1.0,,3.0,-4.0", "a blank cell"),
+        ("2015-01-01T02:00:30,1.0,2.0,3.0,-4.0", "a stamp that is not a whole minute"),
+    ])
+    def test_bad_rows_are_named_as_the_parser_names_them(self, tmp_path, row, fault):
+        # the header is row 1 and the blank line counts, so the fault is row 5
+        path = tmp_path / "predictions.csv"
+        path.write_text("\n".join([",".join(PREDICTION_COLUMNS),
+                                   "2015-01-01T00:00,1.0,2.0,3.0,4.0", "",
+                                   "2015-01-01T01:00,1.0,2.0,3.0,4.0", row, ""]))
+        with pytest.raises(DataError) as info:
+            emit_week_series(path, datetime(2015, 1, 1), tmp_path / "week.csv")
+        assert str(info.value) == f"{path}: {fault} at row 5: {row!r}"
 
     def test_empty_window(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
