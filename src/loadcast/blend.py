@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .metrics import rmse
 
 
 @dataclass
@@ -21,11 +22,6 @@ class EnsembleWeights:
     weights: dict  # model name -> weight, summing to 1
     validation_rmse: dict  # model name -> RMSE the weight came from
     metric: str = "rmse"
-
-
-def _rmse(pred: np.ndarray, actual: np.ndarray) -> float:
-    e = pred - actual
-    return float(math.sqrt(np.mean(e * e)))
 
 
 def fit_weights(
@@ -45,7 +41,7 @@ def fit_weights(
                 f"length mismatch for {name!r}: {len(pred)} predictions "
                 f"vs {len(actuals)} actuals"
             )
-        rmses[name] = _rmse(pred, actuals)
+        rmses[name] = rmse(pred, actuals)
 
     perfect = [n for n, r in rmses.items() if r == 0.0]
     if perfect:

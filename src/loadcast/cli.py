@@ -20,10 +20,11 @@ from pathlib import Path
 from .ensembles import ForestConfig, GbtConfig
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .experiment import ExperimentConfig, emit_week_series, run_experiment
-from .metrics import MetricsReport, compare_models
-from .splitting import SplitSpec
+from .metrics import MAD_MODES, MetricsReport, compare_models
+from .scaling import SCALER_KINDS
+from .splitting import SEASONS, STRATEGIES, SplitSpec
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tree import TreeConfig
+from .tree import GAIN_MODES, TreeConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +32,10 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 ENV_OUT_DIR = "LOADCAST_OUT_DIR"
+
+# --split names a strategy, or season:<name> for a single_season split
+_SPLITS = [s for s in STRATEGIES if s != "single_season"]
+_SEASON_SPLIT = f"season:<{'|'.join(SEASONS)}>"
 
 
 def _load_config_file(path) -> list:
@@ -111,10 +116,9 @@ def _split_spec(name, train_fraction) -> SplitSpec:
     fraction = _given(train_fraction=train_fraction)
     if name.startswith("season:"):
         return SplitSpec("single_season", season=name.split(":", 1)[1], **fraction)
-    if name not in ("ordered", "seasonal", "monthly"):
+    if name not in _SPLITS:
         raise ConfigError(
-            f"unknown split {name!r}; expected ordered, seasonal, monthly, "
-            "or season:<winter|spring|summer|autumn>"
+            f"unknown split {name!r}; expected {', '.join(_SPLITS)}, or {_SEASON_SPLIT}"
         )
     return SplitSpec(name, **fraction)
 
@@ -249,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--granularity", type=int, help="bucket width in minutes")
     run.add_argument(
         "--split", default=_field_default(ExperimentConfig, "split").strategy,
-        help="ordered | seasonal | monthly | season:<winter|spring|summer|autumn>",
+        help=" | ".join([*_SPLITS, _SEASON_SPLIT]),
     )
     run.add_argument("--train-fraction", dest="train_fraction", type=float)
-    run.add_argument("--scaler", choices=["minmax", "maxabs", "none"])
+    run.add_argument("--scaler", choices=[*SCALER_KINDS, "none"])
     run.add_argument("--lags", action=argparse.BooleanOptionalAction)
     run.add_argument(
         "--lag-offsets", dest="lag_offsets", type=_parse_offsets,
@@ -267,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shrinkage", type=float)
     run.add_argument("--gbt-depth", dest="gbt_depth", type=int)
     run.add_argument("--gbt-min-gain", dest="gbt_min_gain", type=float)
-    run.add_argument("--gain-mode", dest="gain_mode", choices=["relative", "absolute"])
+    run.add_argument("--gain-mode", dest="gain_mode", choices=GAIN_MODES)
     run.add_argument(
         "--validation-fraction", dest="validation_fraction", type=float
     )
-    run.add_argument("--mad-mode", dest="mad_mode", choices=["mean", "median"])
+    run.add_argument("--mad-mode", dest="mad_mode", choices=MAD_MODES)
     run.add_argument("--seed", type=int, help="forest seed (boosting draws nothing)")
     run.set_defaults(func=cmd_run)
 

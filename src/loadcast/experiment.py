@@ -24,7 +24,7 @@ from .blend import EnsembleWeights, fit_weights, predict_blend_many
 from .ensembles import ForestConfig, GbtConfig, dump_model, fit_forest, fit_gbt
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .features import build_samples, default_lag_offsets, feature_names
-from .metrics import ComparisonTable, compare_models, compute_metrics
+from .metrics import MAD_MODES, ComparisonTable, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from .scaling import SCALER_KINDS, fit_scaler
 from .splitting import SplitSpec, split, validation_split
@@ -61,6 +61,8 @@ class ExperimentConfig:
             )
         if self.scaler is not None and self.scaler not in SCALER_KINDS:
             raise ConfigError(f"unknown scaler {self.scaler!r}")
+        if self.mad_mode not in MAD_MODES:
+            raise ConfigError(f"unknown mad_mode {self.mad_mode!r}")
         if self.lag_offsets is not None and not self.lag_offsets:
             raise ConfigError("lag offsets must not be empty, got []")
         if self.lag_offsets and not self.lags:

@@ -16,15 +16,6 @@ from .readings import Granularity, Readings
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 
-_MONTH_TO_SEASON = {
-    12: "winter", 1: "winter", 2: "winter",
-    3: "spring", 4: "spring", 5: "spring",
-    6: "summer", 7: "summer", 8: "summer",
-    9: "autumn", 10: "autumn", 11: "autumn",
-}
-# season index in SEASONS of each month, indexed by month - 1
-SEASON_OF_MONTH = np.array([SEASONS.index(_MONTH_TO_SEASON[m]) for m in range(1, 13)])
-
 BASE_FEATURES = (
     "year",
     "month",
@@ -42,8 +33,15 @@ BASE_FEATURES = (
 PASSTHROUGH_FEATURES = frozenset({"season", "is_weekend"})
 
 
+def season_runs(months):
+    """The season run of each month: runs are the three months from each
+    December, so a December joins the next winter. `months` counts from a
+    January (1970-01 in datetime64[M]); SEASONS[run % 4] is a run's season."""
+    return (months + 1) // 3
+
+
 def season_of_month(month: int) -> str:
-    return _MONTH_TO_SEASON[month]
+    return SEASONS[season_runs(month - 1) % 4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +96,7 @@ def calendar_features(timestamps) -> np.ndarray:
         day_of_week,
         minute_of_day // 60,
         minute_of_day // 30,
-        SEASON_OF_MONTH[month - 1],
+        season_runs(month - 1) % 4,
         day_of_week >= 5,
     )
     return np.column_stack(columns).astype(float)

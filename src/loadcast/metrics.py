@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 METRIC_ROWS = ("RMSE", "MAE", "MAD", "MAPE")
+MAD_MODES = ("mean", "median")
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class MetricsReport:
         return report
 
 
+def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
+    e = predicted - actual
+    return float(math.sqrt(np.mean(e * e)))
+
+
 def compute_metrics(
     actual: Sequence[float],
     predicted: Sequence[float],
@@ -59,16 +65,13 @@ def compute_metrics(
         )
     if not (np.isfinite(actual).all() and np.isfinite(predicted).all()):
         raise DataError("series contain non-finite values")
-    if mad_mode not in ("mean", "median"):
+    if mad_mode not in MAD_MODES:
         raise ConfigError(f"mad_mode must be 'mean' or 'median', got {mad_mode!r}")
 
     e = predicted - actual
-    rmse = float(math.sqrt(np.mean(e * e)))
     mae = float(np.mean(np.abs(e)))
-    if mad_mode == "mean":
-        mad = float(np.mean(np.abs(e - np.mean(e))))
-    else:
-        mad = float(np.median(np.abs(e - np.median(e))))
+    center = np.mean if mad_mode == "mean" else np.median
+    mad = float(center(np.abs(e - center(e))))
 
     nonzero = actual != 0.0
     n_skipped = int((~nonzero).sum())
@@ -77,7 +80,7 @@ def compute_metrics(
     else:
         mape = None
     return MetricsReport(
-        rmse=rmse,
+        rmse=rmse(predicted, actual),
         mae=mae,
         mad=mad,
         mape=mape,

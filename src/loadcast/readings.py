@@ -339,8 +339,8 @@ def _parse_cells(buf, start, length):
 def _convert_cells(chars, length):
     """(values, problem) as `_parse_cells` gives them, of the cells whose
     bytes are the columns of `chars` (zero past each cell's end), by numpy's
-    string cast; a cell with an underscore is malformed. Cells after the
-    first one the cast rejects are left NaN and unchecked."""
+    string cast; a cell with an underscore is malformed. A column the cast
+    rejects is cast a cell at a time, and each rejected cell is malformed."""
     width = len(chars)
     padding = width - np.minimum(length, width)
     nul = (chars == 0).sum(axis=0) > padding
@@ -355,29 +355,17 @@ def _convert_cells(chars, length):
     try:
         values[filled] = cells.astype(np.float64)
     except ValueError:
-        k = _first_unconvertible(cells)
-        problem[filled[k]] = _MALFORMED
-        filled = filled[:k]
-        values[filled] = cells[:k].astype(np.float64)
+        for k, i in enumerate(filled.tolist()):
+            try:
+                values[i] = cells[k : k + 1].astype(np.float64)[0]
+            except ValueError:
+                problem[i] = _MALFORMED
+        filled = filled[problem[filled] == 0]
     checked = values[filled]
     finite = np.isfinite(checked)
     problem[filled[~finite]] = _NON_FINITE
     problem[filled[finite & (checked < 0)]] = _NEGATIVE
     return values, problem
-
-
-def _first_unconvertible(cells) -> int:
-    """Index of the first cell the float conversion rejects, given that it
-    rejects the whole array: a bisection over prefixes."""
-    good, bad = 0, len(cells)  # cells[:good] convert, cells[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            cells[:mid].astype(np.float64)
-            good = mid
-        except ValueError:
-            bad = mid
-    return good
 
 
 def _timestamp_error(row: int, field) -> DataError:

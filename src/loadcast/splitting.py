@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import SEASON_OF_MONTH, SEASONS, Samples
+from .features import SEASONS, Samples, season_runs
 
 STRATEGIES = ("ordered", "seasonal", "monthly", "single_season")
 
@@ -68,11 +68,13 @@ def validation_split(samples: Samples, spec: SplitSpec, fraction: float):
 def _ranks(samples: Samples, spec: SplitSpec):
     """(selected, group, rank, n_train): the selected sample indices, each
     one's split group and rank within it in timestamp order, and each
-    group's number of training rows."""
+    group's number of training rows. Group keys never decrease in timestamp
+    order, so a group is one run of samples and a rank the distance from
+    the start of its run."""
     months = samples.timestamps.astype("datetime64[M]").astype(np.int64)
     if spec.strategy == "single_season":
         season = SEASONS.index(spec.season)
-        selected = np.flatnonzero(SEASON_OF_MONTH[months % 12] == season)
+        selected = np.flatnonzero(season_runs(months) % 4 == season)
     else:
         selected = np.arange(len(samples))
     if len(selected) == 0:
@@ -85,15 +87,13 @@ def _ranks(samples: Samples, spec: SplitSpec):
     if spec.strategy == "monthly":
         keys = months
     elif spec.strategy == "seasonal":
-        # three-month runs from December: a December joins the next year's winter
-        keys = (months + 1) // 3
+        keys = season_runs(months)
     else:
         keys = np.zeros(len(selected), dtype=np.int64)  # one global group
-    _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-    # rank of each sample within its group, in timestamp order
-    order = np.argsort(group, kind="stable")
-    first = np.cumsum(sizes) - sizes
-    rank = np.empty(len(group), dtype=np.int64)
-    rank[order] = np.arange(len(group)) - first[group[order]]
+    new_run = np.diff(keys, prepend=keys[0] - 1) != 0
+    group = np.cumsum(new_run) - 1
+    first = np.flatnonzero(new_run)
+    rank = np.arange(len(keys)) - first[group]
+    sizes = np.diff(first, append=len(keys))
     n_train = np.ceil(spec.train_fraction * sizes).astype(np.int64)
     return selected, group, rank, n_train

@@ -317,24 +317,32 @@ _SEASON_OF_MONTH = {
 }
 
 
+def season_of(ts):
+    return _SEASON_OF_MONTH[ts.month]
+
+
+def split_group(ts, strategy):
+    """The split group of a datetime: (year, month) for "monthly", (year,
+    season) for "seasonal", where December joins the next year's winter,
+    and one group otherwise."""
+    if strategy == "monthly":
+        return (ts.year, ts.month)
+    if strategy == "seasonal":
+        year = ts.year + 1 if ts.month == 12 else ts.year
+        return (year, season_of(ts))
+    return 0
+
+
 def split_rows(stamps, strategy, train_fraction, season=None):
     """(train, test) index lists over chronological datetimes: the selection
-    (one season, or all) is grouped by (year, month) for "monthly", by season
-    for "seasonal" (December joins the next year's winter) and into one group
-    otherwise; each group's first ceil(fraction * size) samples train."""
+    (one season, or all) is grouped by `split_group`; each group's first
+    ceil(fraction * size) samples train."""
 
     def key(ts):
-        if strategy == "monthly":
-            return (ts.year, ts.month)
-        if strategy == "seasonal":
-            year = ts.year + 1 if ts.month == 12 else ts.year
-            return (year, _SEASON_OF_MONTH[ts.month])
-        return 0
+        return split_group(ts, strategy)
 
     if strategy == "single_season":
-        selected = [
-            i for i, ts in enumerate(stamps) if _SEASON_OF_MONTH[ts.month] == season
-        ]
+        selected = [i for i, ts in enumerate(stamps) if season_of(ts) == season]
     else:
         selected = list(range(len(stamps)))
     counts = {}
@@ -350,6 +358,22 @@ def split_rows(stamps, strategy, train_fraction, season=None):
         seen[k] = rank + 1
         (train if rank < take[k] else test).append(i)
     return train, test
+
+
+def validation_rows(stamps, strategy, train_fraction, fraction, season=None):
+    """(core, validation) index lists: of the n training rows of each group
+    of `split_rows`, the last min(max(1, int(fraction * n)), n - 1) are for
+    validation and the others for fitting."""
+    train, _ = split_rows(stamps, strategy, train_fraction, season)
+    groups = {}
+    for i in train:
+        groups.setdefault(split_group(stamps[i], strategy), []).append(i)
+    core, validation = [], []
+    for rows in groups.values():
+        n_val = min(max(1, int(fraction * len(rows))), len(rows) - 1)
+        core += rows[: len(rows) - n_val]
+        validation += rows[len(rows) - n_val :]
+    return sorted(core), sorted(validation)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="does not divide 1440"):
             small_config(tmp_path / "missing.csv", tmp_path / "out", granularity=7)
 
+    def test_unknown_mad_mode_rejected_before_work(self, small_input, tmp_path):
+        # it used to pass the config and fail in the metrics, after both fits
+        with pytest.raises(ConfigError, match="^unknown mad_mode 'mode'$"):
+            small_config(small_input, tmp_path / "out", mad_mode="mode")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_names_stage(self, tmp_path):
         config = small_config(tmp_path / "missing.csv", tmp_path / "out")
         with pytest.raises(DataError, match=r"\[read-input\]"):

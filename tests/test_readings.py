@@ -88,6 +88,17 @@ class TestParse:
         with pytest.raises(DataError, match="^non-finite reading at row 4, column 1$"):
             parse_readings(text + "2015-01-01T00:02,-inf,1\n", signed=True)
 
+    def test_every_cell_of_a_rejected_column_is_checked(self):
+        cells = [b"x", b"1", b"y", b"-2"]
+        chars = np.zeros((2, len(cells)), dtype=np.uint8)
+        for j, cell in enumerate(cells):
+            chars[: len(cell), j] = list(cell)
+        length = np.array([len(cell) for cell in cells])
+        values, problem = readings_module._convert_cells(chars, length)
+        kinds = [readings_module._CELL_PROBLEMS.get(p) for p in problem.tolist()]
+        assert kinds == ["malformed", None, "malformed", "negative"]
+        np.testing.assert_array_equal(values, [np.nan, 1.0, np.nan, -2.0])
+
     def test_missing_header(self):
         with pytest.raises(DataError):
             parse_readings("")
@@ -130,6 +141,14 @@ def _set_cell(lines, i, col, value):
     lines[i] = ",".join(cells)
 
 
+def _two_rejected_then_negative(lines, i):
+    # column 2 holds two cells the string cast rejects among one it reads,
+    # and a later row a negative cell in column 1
+    for k, cell in enumerate(("x", "1e0", "y")):
+        _set_cell(lines, i + k, 2, cell)
+    _set_cell(lines, i + 3, 1, "-1.5")
+
+
 # fault injected into a line, and the message it must produce at row 50,000
 DEEP_FAULTS = {
     "column count": (
@@ -159,6 +178,10 @@ DEEP_FAULTS = {
     "negative reading": (
         lambda lines, i: _set_cell(lines, i, 2, "-2.5"),
         r"negative reading at row 50000, column 2$",
+    ),
+    "two rejected cells, then a negative one": (
+        _two_rejected_then_negative,
+        r"malformed reading at row 50000, column 2$",
     ),
 }
 

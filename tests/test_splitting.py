@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from datetime import datetime, timedelta
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loadcast.errors import ConfigError, DataError
-from loadcast.features import SEASONS, build_samples
+from loadcast.features import BASE_FEATURES, SEASONS, build_samples
 from loadcast.readings import Readings
 from loadcast.splitting import SplitSpec, split, validation_split
 
@@ -162,6 +163,28 @@ def test_index_split_crosses_december_and_year_ends():
         got = split(samples, SplitSpec("single_season", season=season))
         expected = oracles.split_rows(stamps, "single_season", 0.8, season)
         assert [g.tolist() for g in got] == list(expected)
+
+
+def test_splits_and_seasons_before_1970_and_across_year_ends():
+    # month counts before 1970 are negative, and the winters of 1969, 1970
+    # and 1971 each span a year end
+    first = datetime(1968, 9, 1)
+    stamps = daily_stamps(first, (datetime(1971, 6, 1) - first).days)
+    samples = samples_at(stamps)
+    seasons = samples.X[:, BASE_FEATURES.index("season")].astype(int)
+    assert [SEASONS[s] for s in seasons] == [oracles.season_of(ts) for ts in stamps]
+    specs = [SplitSpec(s) for s in ("ordered", "seasonal", "monthly")]
+    specs += [SplitSpec("single_season", season=s) for s in SEASONS]
+    for base in specs:
+        for train_fraction in (0.5, 0.8):
+            spec = dataclasses.replace(base, train_fraction=train_fraction)
+            args = (stamps, spec.strategy, train_fraction)
+            got = split(samples, spec)
+            assert [g.tolist() for g in got] == list(oracles.split_rows(*args, spec.season))
+            for fraction in (0.1, 0.3):
+                got = validation_split(samples, spec, fraction)
+                want = oracles.validation_rows(*args, fraction, spec.season)
+                assert [g.tolist() for g in got] == list(want)
 
 
 def _group_key(ts, strategy):
