@@ -24,7 +24,7 @@ from .blend import EnsembleWeights, fit_weights, predict_blend_many
 from .ensembles import ForestConfig, GbtConfig, dump_model, fit_forest, fit_gbt
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .features import build_samples, default_lag_offsets, feature_names
-from .metrics import MAD_MODES, ComparisonTable, compare_models, compute_metrics
+from .metrics import ComparisonTable, check_mad_mode, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from .scaling import SCALER_KINDS, fit_scaler
 from .splitting import SplitSpec, split, validation_split
@@ -61,8 +61,7 @@ class ExperimentConfig:
             )
         if self.scaler is not None and self.scaler not in SCALER_KINDS:
             raise ConfigError(f"unknown scaler {self.scaler!r}")
-        if self.mad_mode not in MAD_MODES:
-            raise ConfigError(f"unknown mad_mode {self.mad_mode!r}")
+        check_mad_mode(self.mad_mode)
         if self.lag_offsets is not None and not self.lag_offsets:
             raise ConfigError("lag offsets must not be empty, got []")
         if self.lag_offsets and not self.lags:
@@ -252,7 +251,8 @@ def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
             f"anchor {anchor.isoformat()}: its 7-day window ends past year 9999"
         )
     try:
-        text = predictions_csv.read_text()
+        # utf-8-sig: a byte-order mark before the header is skipped
+        text = predictions_csv.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read prediction file {predictions_csv}: {exc}")
     header = text.partition("\n")[0].split(",") if text else None

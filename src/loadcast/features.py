@@ -40,10 +40,6 @@ def season_runs(months):
     return (months + 1) // 3
 
 
-def season_of_month(month: int) -> str:
-    return SEASONS[season_runs(month - 1) % 4]
-
-
 @dataclass(frozen=True, eq=False)
 class Samples:
     """Featurized buckets as columns.

@@ -50,6 +50,11 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(math.sqrt(np.mean(e * e)))
 
 
+def check_mad_mode(mad_mode: str) -> None:
+    if mad_mode not in MAD_MODES:
+        raise ConfigError(f"unknown mad_mode {mad_mode!r}")
+
+
 def compute_metrics(
     actual: Sequence[float],
     predicted: Sequence[float],
@@ -65,8 +70,7 @@ def compute_metrics(
         )
     if not (np.isfinite(actual).all() and np.isfinite(predicted).all()):
         raise DataError("series contain non-finite values")
-    if mad_mode not in MAD_MODES:
-        raise ConfigError(f"mad_mode must be 'mean' or 'median', got {mad_mode!r}")
+    check_mad_mode(mad_mode)
 
     e = predicted - actual
     mae = float(np.mean(np.abs(e)))

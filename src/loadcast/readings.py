@@ -11,6 +11,9 @@ failed.
 from __future__ import annotations
 
 import codecs
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -59,9 +62,8 @@ class Readings:
 def bucket_index_of(timestamps, granularity: Granularity):
     """floor(minutes elapsed in the day / bucket width), elementwise over a
     datetime64 array (a single datetime gives a 0-d array)."""
-    minutes = np.asarray(timestamps, dtype="datetime64[m]")
-    minute_of_day = (minutes - minutes.astype("datetime64[D]")).astype(np.int64)
-    return minute_of_day // granularity.minutes
+    minutes = np.asarray(timestamps, dtype="datetime64[m]").astype(np.int64)
+    return minutes % 1440 // granularity.minutes
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,8 @@ def bucket_index_of(timestamps, granularity: Granularity):
 # or ' ') with one of the lengths below, i.e. YYYY-MM-DD, optionally followed
 # by HH:MM, HH:MM:SS or HH:MM:SS.f to HH:MM:SS.ffffff; no UTC offset
 _TS_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
-_TS_LENGTHS = (10, 16, 19, 21, 22, 23, 24, 25, 26)
+# _TS_LENGTH_OK[k]: k is one of the lengths; a longer field reads the last entry
+_TS_LENGTH_OK = np.isin(np.arange(len(_TS_TEMPLATE) + 2), (10, 16, 19, 21, 22, 23, 24, 25, 26))
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # longest reading cell read; a longer one is malformed. This bounds the
 # (cells x width) byte matrix the cells are converted from.
@@ -80,6 +83,9 @@ _BLANKS = np.frombuffer(b" \t\v\f", dtype=np.uint8)
 # 10**k for the 0 to 15 digits after the dot of a plain reading cell (see
 # _parse_cells); each is an exact float
 _POW10 = np.array([float(10**k) for k in range(16)])
+# integer types of the numbers of 2, 4, 8 and 16 digits and more (see
+# _parse_cells); past 16 bytes no cell is plain, and its number may wrap
+_JOIN_TYPES = (np.uint8, np.uint16, np.uint32) + (np.uint64,) * 3
 _MALFORMED, _NON_FINITE, _NEGATIVE = 1, 2, 3
 _CELL_PROBLEMS = {
     _MALFORMED: "malformed", _NON_FINITE: "non-finite", _NEGATIVE: "negative"
@@ -87,52 +93,110 @@ _CELL_PROBLEMS = {
 # input bytes parsed at a time, cut back to the last whole line: bounds the
 # per-line positions and per-cell byte matrices held next to the output
 BLOCK_BYTES = 1 << 20
+# a block's rows are parsed in runs of BLOCK_BYTES / _RUNS bytes: long enough
+# that numpy's loops, run without the GIL, outweigh the Python between them,
+# and short enough that a run's temporaries stay about a block's bytes
+_RUNS = 4
+# bytes past a block's end that `_gather` may read: a field of up to _MAX_CELL
+# bytes read as whole 8-byte words
+_PAD = _MAX_CELL + 8
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
     """Parse a readings CSV, given as its UTF-8 bytes, into columns.
 
     Rows are separated by newlines (a CRLF or a lone CR counts as one), cells
-    by commas, without quoting. Blank lines are skipped. A timestamp is
-    YYYY-MM-DD, optionally followed by 'T' or a space and HH:MM, HH:MM:SS or
-    HH:MM:SS.ffffff, in local time: a UTC offset is rejected. A cell that is
-    empty or whitespace is a null. A negative cell is rejected unless
-    `signed` (a prediction file's estimates may fall below zero). A file
-    without data rows is rejected. Row numbers in error messages count the
-    header as row 1 and include blank lines, and column numbers count the
-    cells after the timestamp.
+    by commas, without quoting. A UTF-8 byte-order mark before the header is
+    skipped. Blank lines are skipped. A timestamp is YYYY-MM-DD, optionally
+    followed by 'T' or a space and HH:MM, HH:MM:SS or HH:MM:SS.ffffff, in
+    local time: a UTC offset is rejected. A cell that is empty or whitespace
+    is a null. A negative cell is rejected unless `signed` (a prediction
+    file's estimates may fall below zero). A file without data rows is
+    rejected. Row numbers in error messages count the header as row 1 and
+    include blank lines, and column numbers count the cells after the
+    timestamp.
 
     A str is encoded once. Bytes that are not UTF-8 raise UnicodeDecodeError,
     positioned as decoding the whole input would position it. The data rows
-    are parsed in blocks of whole lines of about BLOCK_BYTES each, into
-    arrays sized once from the line count. Each block is read in place, as a
-    view of the input, so beside the input and the result only one block's
-    temporaries are held. The first error in file order is the one raised.
+    are cut into blocks of whole lines of about BLOCK_BYTES each, read in
+    place as views of the input, and parsed by `parse_workers()` threads
+    (numpy releases the GIL inside its loops). Each block's rows and lines
+    are counted first, so the result arrays are allocated once at their exact
+    size and every block parses into its own rows of them. Beside the input
+    and the result, each thread holds one block's temporaries. The first
+    error in file order is the one raised.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     else:
         _check_utf8(data)
-    if not data:
+    head = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if len(data) == head:
         raise DataError("empty input: missing header row")
-    header_end = _line_end(data, 0)
-    header = data[:header_end].decode("utf-8", "surrogatepass").split(",")
+    header_end = _line_end(data, head)
+    header = data[head:header_end].decode("utf-8", "surrogatepass").split(",")
     if header[0].strip() != "timestamp":
         raise DataError("header must start with a 'timestamp' column")
     n_cols = len(header)
     if n_cols < 2:
         raise DataError("header declares no meter columns")
 
-    # one row at most per line after the header, the final empty one aside
-    crs = data.count(b"\r")
-    crlfs = data.count(b"\r\n") if crs else 0
-    breaks = data.count(b"\n") + crs - crlfs
-    most = breaks - data.endswith((b"\n", b"\r"))
-    timestamps = np.empty(most, dtype="datetime64[us]")
-    values = np.empty((most, n_cols - 1))
-    n = 0
-    line = 1  # index of the block's first line; the header is line 0
-    pos = _next_line(data, header_end)
+    blocks = _blocks(data, _next_line(data, header_end))
+    workers = min(parse_workers(), len(blocks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        counts = _each(pool, workers, len(blocks), lambda i: _count_block(*blocks[i]))
+        rows = np.cumsum([0] + [r for r, _ in counts])
+        # index of each block's first line; the header is line 0
+        lines = np.cumsum([1] + [k for _, k in counts])
+        timestamps = np.empty(rows[-1], dtype="datetime64[us]")
+        values = np.empty((rows[-1], n_cols - 1))
+
+        def parse(i, last=np.datetime64("NaT")):
+            _parse_block(*blocks[i], int(lines[i]), n_cols, last, signed,
+                         timestamps[rows[i] :], values[rows[i] :])
+
+        def error(i):  # the block's first error, or None
+            try:
+                parse(i)
+            except DataError as exc:
+                return exc
+            return None
+
+        errors = _each(pool, workers, len(blocks), error)
+    for i in range(len(blocks)):
+        # the blocks were parsed apart, so each block's first stamp is
+        # checked against the last one before it here
+        last = timestamps[rows[i] - 1] if rows[i] else np.datetime64("NaT")
+        if errors[i] is not None or (rows[i + 1] > rows[i] and timestamps[rows[i]] <= last):
+            # parsed again after that stamp, the block raises the first error
+            # in file order: its own, or a stamp not after the one before it
+            parse(i, last)
+    if not rows[-1]:
+        raise DataError("no data rows after the header")
+    return Readings(timestamps, values)
+
+
+def parse_workers() -> int:
+    """Threads that parse one input: at most the CPUs this process may run
+    on, and at most two, since each holds a run of rows' temporaries and the
+    parse must stay within the input, the result and 16 blocks."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        usable = os.cpu_count() or 1
+    return min(2, usable)
+
+
+def _blocks(data: bytes, pos: int) -> list:
+    """The data rows from `pos` cut into blocks of whole lines of about
+    BLOCK_BYTES, each a (buf, size) pair: a uint8 array whose first `size`
+    bytes are the block's lines without the last one's line break, followed
+    by at least _PAD more bytes for `_gather` to read. `buf` is a view of
+    `data`, or for a block within _PAD bytes of the input's end, a
+    zero-padded copy."""
+    blocks = []
     while pos < len(data):
         cut = len(data)
         if pos + BLOCK_BYTES < len(data):
@@ -143,17 +207,27 @@ def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
                 cut = _line_end(data, stop)
             elif cut > pos and data[cut - 1 : cut + 1] == b"\r\n":
                 cut -= 1
-        block = np.frombuffer(data, np.uint8, cut - pos, pos)
-        last = timestamps[n - 1] if n else np.datetime64("NaT")
-        rows, lines = _parse_block(
-            block, line, n_cols, last, signed, timestamps[n:], values[n:]
-        )
-        n += rows
-        line += lines
+        size = cut - pos
+        if cut + _PAD <= len(data):
+            buf = np.frombuffer(data, np.uint8, size + _PAD, pos)
+        else:
+            buf = np.zeros(size + _PAD, dtype=np.uint8)
+            buf[:size] = np.frombuffer(data, np.uint8, size, pos)
+        blocks.append((buf, size))
         pos = _next_line(data, cut)
-    if not n:
-        raise DataError("no data rows after the header")
-    return Readings(timestamps[:n], values[:n])
+    return blocks
+
+
+def _each(pool, workers, n, task) -> list:
+    """[task(i) for i in range(n)], the indices dealt in turn to the
+    `workers` threads of `pool`, or run here without one."""
+    if pool is None:
+        return [task(i) for i in range(n)]
+    results = [None] * n
+    shares = pool.map(lambda w: [task(i) for i in range(w, n, workers)], range(workers))
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results
 
 
 def _line_end(data: bytes, start: int) -> int:
@@ -184,14 +258,10 @@ def _check_utf8(data: bytes) -> None:
         raise
 
 
-def _parse_block(buf, first_line, n_cols, last, signed, timestamps, values) -> tuple:
-    """Parse `buf`, whole lines without the last one's line break, into the
-    first rows of `timestamps` and `values`; return the numbers of rows and
-    of lines, blank ones included. A line ends at an LF, a lone CR or the CR
-    of a CRLF, whose LF then ends no line of its own; `buf` never ends
-    between the two. `first_line` is the index of the block's first line in
-    the file and `last` the timestamp of the row before the block (NaT for
-    none); `signed` accepts negative cells. Raises the block's first error."""
+def _lines(buf) -> tuple:
+    """(start, end) of every line of `buf`, blank ones included. A line ends
+    at an LF, a lone CR or the CR of a CRLF, whose LF then ends no line of
+    its own; `buf` never ends between the two."""
     # the bytes <= CR: every CR and LF, and any tab or other control byte
     low = np.flatnonzero(buf <= ord("\r"))
     byte = buf[low]
@@ -201,29 +271,65 @@ def _parse_block(buf, first_line, n_cols, last, signed, timestamps, values) -> t
     is_end = (is_cr | (byte == ord("\n"))) & ~second
     ends = low[is_end]
     crlf = np.append(second[1:], False)[is_end]  # the end is a CRLF's CR
-    line_start = np.concatenate(([0], ends + 1 + crlf))
-    line_end = np.concatenate((ends, [buf.size]))
+    return np.concatenate(([0], ends + 1 + crlf)), np.append(ends, buf.size)
+
+
+def _count_block(buf, size) -> tuple:
+    """(rows, lines) of a block: its lines that are not blank, and all."""
+    start, end = _lines(buf[:size])
+    return int(np.count_nonzero(end > start)), len(start)
+
+
+def _parse_block(buf, size, first_line, n_cols, last, signed, timestamps,
+                 values) -> None:
+    """Parse a block of `_blocks` into the first rows of `timestamps` and
+    `values`. `first_line` is the index of the block's first line in the
+    file and `last` the timestamp of the row before the block (NaT for
+    none); `signed` accepts negative cells. Raises the block's first error.
+
+    The rows are parsed in runs of about BLOCK_BYTES / _RUNS bytes, and each
+    run's cells at once, row by row as `values` holds them."""
+    # the little-endian uint64 of the eight bytes from each offset
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    line_start, line_end = _lines(buf[:size])
     lines = np.flatnonzero(line_end > line_start)  # row number: first_line + index + 1
     start, end = line_start[lines], line_end[lines]
+    run = max(1, BLOCK_BYTES // _RUNS)
+    edges = np.append(np.searchsorted(start, np.arange(0, size, run)), len(lines))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == hi:  # no row starts in this run's bytes
+            continue
+        _parse_rows(buf, words, start[lo:hi], end[lo:hi], first_line + lines[lo:hi] + 1,
+                    n_cols, last, signed, timestamps[lo:], values[lo:])
+        last = timestamps[hi - 1]
 
-    commas = np.flatnonzero(buf == ord(","))
-    fields = np.searchsorted(commas, end) - np.searchsorted(commas, start) + 1
+
+def _parse_rows(buf, words, start, end, row, n_cols, last, signed, timestamps,
+                values) -> None:
+    """Parse the lines [start, end) of `buf`, numbered `row` in the file,
+    into the first rows of `timestamps` and `values`; raise their first
+    error. `last` is the timestamp before them (NaT for none)."""
+    commas = np.flatnonzero(buf[start[0] : end[-1]] == ord(",")) + start[0]
+    # a row's cells are its commas plus one; between rows lie no commas, so
+    # those before a row's end are its own and the earlier rows'
+    before = np.searchsorted(commas, end)
+    fields = np.diff(before, prepend=0) + 1
     ragged = np.flatnonzero(fields != n_cols)
     # rows before the first ragged one are a rectangle; check those first,
     # since an earlier row's error is the one to report
-    n = int(ragged[0]) if ragged.size else len(lines)
+    n = int(ragged[0]) if ragged.size else len(start)
     bounds = commas[: n * (n_cols - 1)].reshape(n, n_cols - 1)
-    start, end = start[:n], end[:n]
 
     stamps = timestamps[:n]
-    stamps[:] = _parse_timestamps(buf, start, bounds[:, 0] - start)
-    problem = np.empty((n, n_cols - 1), dtype=np.int8)
-    for j in range(n_cols - 1):
-        cell_start = bounds[:, j] + 1
-        cell_end = bounds[:, j + 1] if j + 2 < n_cols else end
-        values[:n, j], problem[:, j] = _parse_cells(
-            buf, cell_start, cell_end - cell_start
-        )
+    stamps[:] = _parse_timestamps(words, start[:n], bounds[:, 0] - start[:n])
+    length = np.empty_like(bounds)
+    np.subtract(bounds[:, 1:], bounds[:, :-1], out=length[:, :-1])
+    np.subtract(end[:n], bounds[:, -1], out=length[:, -1])
+    length -= 1
+    # the cells start a byte after their commas: read from the next offset
+    cells, problem = _parse_cells(words[1:], bounds.ravel(), length.ravel())
+    values[:n] = cells.reshape(n, n_cols - 1)
+    problem = problem.reshape(n, n_cols - 1)
     if signed:
         problem[problem == _NEGATIVE] = 0
 
@@ -231,58 +337,61 @@ def _parse_block(buf, first_line, n_cols, last, signed, timestamps, values) -> t
     non_monotonic = np.empty(n, dtype=bool)
     non_monotonic[:1] = stamps[:1] <= last
     non_monotonic[1:] = stamps[1:] <= stamps[:-1]
-    bad = bad_timestamp | non_monotonic | problem.any(axis=1)
+    bad = bad_timestamp | non_monotonic
+    if problem.any():
+        bad |= problem.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        row = first_line + int(lines[i]) + 1
         if bad_timestamp[i]:
-            raise _timestamp_error(row, buf[start[i] : bounds[i, 0]])
+            raise _timestamp_error(int(row[i]), buf[start[i] : bounds[i, 0]])
         if non_monotonic[i]:
-            raise DataError(f"non-monotonic timestamp at row {row}")
+            raise DataError(f"non-monotonic timestamp at row {row[i]}")
         col = int(np.argmax(problem[i] > 0))
         kind = _CELL_PROBLEMS[problem[i, col]]
-        raise DataError(f"{kind} reading at row {row}, column {col + 1}")
+        raise DataError(f"{kind} reading at row {row[i]}, column {col + 1}")
     if ragged.size:
         raise DataError(
-            f"inconsistent column count at row {first_line + int(lines[n]) + 1}: "
+            f"inconsistent column count at row {row[n]}: "
             f"expected {n_cols}, got {int(fields[n])}"
         )
-    return n, len(line_start)
 
 
-def _gather(buf, start, length, width):
+def _gather(words, start, length, width):
     """Byte k of every field as row k of a (width, fields) matrix, zero past
-    each field's end."""
-    chars = np.empty((width, len(start)), dtype=np.uint8)
-    for k in range(width):
-        np.take(buf, start + k, mode="clip", out=chars[k])
-        chars[k] *= length > k
-    return chars
+    each field's end. `words[i]` is the little-endian uint64 of the eight
+    bytes from offset i, for every offset a field's bytes are read from."""
+    packed = np.empty((len(start), -(-width // 8)), dtype="<u8")
+    for w in range(packed.shape[1]):
+        packed[:, w] = words[start + 8 * w]
+        packed[:, w] &= _LOW_BYTES[np.clip(length - 8 * w, 0, 8)]
+    return np.ascontiguousarray(packed.view(np.uint8).T[:width])
 
 
-def _parse_timestamps(buf, start, length):
+def _parse_timestamps(words, start, length):
     """datetime64[us] of each field; NaT where the field is not a timestamp
     of the accepted form or names a date or time that does not exist."""
     width = min(len(_TS_TEMPLATE), int(length.max(initial=0)))
-    template = _TS_TEMPLATE[:width, None]
-    chars = _gather(buf, start, length, width)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    fits = np.where(template == ord("0"), digit, chars == template)
+    chars = _gather(words, start, length, width)
+    # a byte fits where it is the template's, a digit where that has a '0'
+    # and 'T' or ' ' at index 10; past a field's end any byte fits
+    fits = chars == _TS_TEMPLATE[:width, None]
     if width > 10:
         fits[10] |= chars[10] == ord(" ")
-    inside = np.arange(width)[:, None] < length
-    ok = np.isin(length, _TS_LENGTHS) & (fits | ~inside).all(axis=0)
-    digits = np.where(digit, chars - ord("0"), 0)
-
-    def number(first, stop):
-        value = np.zeros(len(start), dtype=np.int64)
-        for k in range(first, stop):
-            value = value * 10 + (digits[k] if k < width else 0)
-        return value
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    microsecond = number(20, 26)
+    # each field's digits at the template's places, zero elsewhere
+    digits = np.zeros((len(_TS_TEMPLATE), len(start)), dtype=np.uint8)
+    d = np.subtract(chars, np.uint8(ord("0")), out=digits[:width])  # a digit is < 10
+    digit = d < 10
+    np.copyto(fits, digit, where=_TS_TEMPLATE[:width, None] == ord("0"))
+    fits |= np.arange(width)[:, None] >= length
+    ok = fits.all(axis=0) & _TS_LENGTH_OK[np.minimum(length, len(_TS_LENGTH_OK) - 1)]
+    d *= digit
+    # the two-digit number at each place; a field's numbers start at
+    # places 0, 5, 8, 11, 14, 17 and 20
+    pairs = digits[:-1] * np.uint8(10) + digits[1:]
+    month, day = pairs[5], pairs[8]
+    hour, minute, second = pairs[11], pairs[14], pairs[17]
+    year = pairs[0].astype(np.int64) * 100 + pairs[2]
+    microsecond = (pairs[20].astype(np.int64) * 100 + pairs[22]) * 100 + pairs[24]
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
@@ -290,57 +399,73 @@ def _parse_timestamps(buf, start, length):
 
     months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     dates = months.astype("datetime64[D]") + (day - 1)
-    micros = ((hour * 60 + minute) * 60 + second) * 1_000_000 + microsecond
+    micros = ((hour.astype(np.int64) * 60 + minute) * 60 + second) * 1_000_000 + microsecond
     timestamps = dates.astype("datetime64[us]") + micros
     timestamps[~ok] = np.datetime64("NaT")
     return timestamps
 
 
-def _parse_cells(buf, start, length):
-    """(values, problem) per cell of one column: float64 with NaN for a blank
-    cell, and the cell's _CELL_PROBLEMS code (0 = none).
+def _parse_cells(words, start, length):
+    """(values, problem) per cell: float64 with NaN for a blank cell, and the
+    cell's _CELL_PROBLEMS code (0 = none).
 
     A plain cell, made of 1 to 15 ASCII digits and at most one '.', is read
     by digit arithmetic: its digits as one integer m < 10**15 < 2**53, then
     m / 10**f for its f digits after the dot. m and 10**f are exact floats,
     so the one correctly rounded division gives the nearest float64 to the
     decimal, the bits that float() and numpy's string cast give (Clinger's
-    fast path). Every other cell takes `_convert_cells`.
+    fast path). An empty cell is NaN, and every other cell takes
+    `_convert_cells`.
     """
-    width = max(1, min(int(length.max(initial=0)), _MAX_CELL))
-    chars = _gather(buf, start, length, width)
-    d = chars - np.uint8(ord("0"))  # wraps, so a digit is d < 10
-    digit = d < 10
-    dot = chars == ord(".")
-    n_digits = digit.sum(axis=0, dtype=np.uint8)
+    # a power of two of bytes, at most _MAX_CELL, so that they pair up below
+    width = 1 << (min(int(length.max(initial=0)), _MAX_CELL) - 1).bit_length()
+    # the cells' bytes, turned in place into their digits' values below;
+    # each byte matrix is dropped once used, which bounds the temporaries
+    d = _gather(words, start, length, width)
+    dot = d == ord(".")
     n_dots = dot.sum(axis=0, dtype=np.uint8)
+    # f: the bytes after the dot, the one nonzero of (length - 1 - index) * dot
+    after = (length - 1).astype(np.uint8) - np.arange(width, dtype=np.uint8)[:, None]
+    after *= dot
+    frac = after.max(axis=0)
+    del dot, after
+    d -= np.uint8(ord("0"))  # wraps, so a digit is < 10
+    digit = d < 10
+    n_digits = digit.sum(axis=0, dtype=np.uint8)
     # bytes past a cell's end are zeros, so its digits and dots fill it
     # exactly when they number its length
     plain = (n_digits + n_dots == length) & (n_dots <= 1)
     plain &= (n_digits >= 1) & (n_digits < len(_POW10))
-    # Horner's rule over the bytes, where a dot or padding byte multiplies
-    # by 1 and adds 0; the partial sums of a plain cell stay exact integers
-    scale = digit.view(np.uint8) * np.uint8(9) + np.uint8(1)
+    # the digits as one integer: a run of bytes holds its digits' number and
+    # 10**(its digits), a dot or padding byte holding 0 and 1, and adjacent
+    # runs join as (left * right's power + right, the product of the powers).
+    # Runs of 2**k bytes hold numbers below 10**(2**k), so up to a plain
+    # cell's 16 bytes each level's integer type holds them exactly.
     d *= digit
-    mantissa = np.zeros(len(start))
-    for k in range(width):
-        mantissa *= scale[k]
-        mantissa += d[k]
-    # one past the dot's index, 0 without a dot; f = the bytes after it
-    dot_end = (dot * np.arange(1, width + 1, dtype=np.uint8)[:, None]).max(axis=0)
-    frac = np.where(dot_end > 0, length - dot_end, 0)
-    values = mantissa / _POW10.take(frac, mode="clip")
+    power = np.where(digit, np.uint8(10), np.uint8(1))
+    del digit
+    number = d
+    for dtype in _JOIN_TYPES[: width.bit_length() - 1]:
+        number = np.multiply(number[0::2], power[1::2], dtype=dtype) + number[1::2]
+        power = np.multiply(power[0::2], power[1::2], dtype=dtype)
+    values = number[0] / _POW10.take(frac, mode="clip")
     problem = np.zeros(len(start), dtype=np.int8)
     rest = np.flatnonzero(~plain)
-    values[rest], problem[rest] = _convert_cells(chars[:, rest], length[rest])
+    empty = length[rest] == 0
+    values[rest[empty]] = np.nan
+    rest = rest[~empty]
+    if rest.size:
+        chars = _gather(words, start[rest], length[rest], width)
+        values[rest], problem[rest] = _convert_cells(chars, length[rest])
     return values, problem
 
 
 def _convert_cells(chars, length):
     """(values, problem) as `_parse_cells` gives them, of the cells whose
     bytes are the columns of `chars` (zero past each cell's end), by numpy's
-    string cast; a cell with an underscore is malformed. A column the cast
-    rejects is cast a cell at a time, and each rejected cell is malformed."""
+    string cast; a cell with an underscore is malformed. Cells the cast
+    rejects together are cast a cell at a time, and each rejected cell is
+    malformed."""
     width = len(chars)
     padding = width - np.minimum(length, width)
     nul = (chars == 0).sum(axis=0) > padding
@@ -389,26 +514,42 @@ def _timestamp_error(row: int, field) -> DataError:
 
 
 def interpolate_nulls(readings: Readings) -> Readings:
-    """Replace nulls per meter column.
+    """Replace nulls per meter column, in a new Readings.
 
     Interior nulls are linearly interpolated against minute distance between
     the nearest non-null neighbours; leading/trailing nulls copy the nearest
     non-null value. Non-null inputs are returned unchanged.
+
+    `np.interp` is evaluated at the null cells only, with each run of nulls'
+    two known neighbours as its knots: between the same two points it gives
+    the same bits as over the whole column, and known cells are not touched.
     """
-    known = ~np.isnan(readings.values)
-    if known.all():
+    values = readings.values
+    nulls = np.flatnonzero(np.isnan(values))
+    if not nulls.size:
         return readings
-    empty = ~known.any(axis=0)
+    rows, cols = np.divmod(nulls, values.shape[1])
+    empty = np.bincount(cols, minlength=values.shape[1]) == len(values)
     if empty.any():
         raise DataError(f"meter column {int(np.argmax(empty)) + 1} is entirely null")
-    elapsed = (readings.timestamps - readings.timestamps[0]) / np.timedelta64(1, "us")
-    minutes = elapsed / 1e6 / 60.0
-    values = readings.values.copy()
-    for j in np.flatnonzero(~known.all(axis=0)):
-        column, k = values[:, j], known[:, j]
-        # only the null slots change, so existing values stay bit-identical
-        column[~k] = np.interp(minutes[~k], minutes[k], column[k])
-    return Readings(readings.timestamps, values)
+    stamps = readings.timestamps
+
+    def minutes(i):  # minutes since the first row, of the rows `i`
+        return (stamps[i] - stamps[0]) / np.timedelta64(1, "us") / 1e6 / 60.0
+
+    repaired = values.copy()
+    for j in np.unique(cols):
+        null = rows[cols == j]  # increasing
+        # a run of nulls starts after a gap in `null` and ends before one;
+        # its knots are the rows before and after it, in order, and a row
+        # between two runs is a knot of both
+        gap = np.flatnonzero(np.diff(null) > 1)
+        knots = np.column_stack((null[np.append(0, gap + 1)] - 1,
+                                 null[np.append(gap, -1)] + 1)).ravel()
+        knots = knots[np.append(True, np.diff(knots) > 0)]
+        knots = knots[(knots >= 0) & (knots < len(values))]
+        repaired[null, j] = np.interp(minutes(null), minutes(knots), values[knots, j])
+    return Readings(stamps, repaired)
 
 
 @np.errstate(over="ignore")  # an overflowed sum is inf, reported as too large
@@ -417,25 +558,30 @@ def aggregate(readings: Readings, granularity: Granularity) -> Readings:
     (date, bucket) group: one row per bucket, holding its start and mean.
     Buckets with no readings are simply absent. A model fit squares sums of
     up to all the means, so the first bucket whose mean m gives
-    (buckets * m)**2 = inf raises DataError."""
-    nulls = np.isnan(readings.values).any(axis=1)
-    if nulls.any():
-        ts = readings.timestamps[np.argmax(nulls)].item()
-        raise DataError(
-            f"null reading at {ts.isoformat()}; run interpolate_nulls first"
-        )
+    (buckets * m)**2 = inf raises DataError.
+
+    A row's bucket is its microseconds since 1970 floor-divided by the bucket
+    width: buckets tile each day, since the width divides 1440 minutes."""
     # left to right from 0.0, as a running sum over each row
     totals = np.zeros(len(readings))
     for column in readings.values.T:
         totals += column
+    # a null makes its row's total NaN; so may inf - inf, which is no null
+    nan = np.flatnonzero(np.isnan(totals))
+    nulls = nan[np.isnan(readings.values[nan]).any(axis=1)]
+    if nulls.size:
+        ts = readings.timestamps[nulls[0]].item()
+        raise DataError(
+            f"null reading at {ts.isoformat()}; run interpolate_nulls first"
+        )
 
-    index = bucket_index_of(readings.timestamps, granularity)
-    width = np.timedelta64(granularity.minutes, "m")
-    starts = readings.timestamps.astype("datetime64[D]") + index * width
+    micros = readings.timestamps.astype("datetime64[us]", copy=False).view(np.int64)
+    key = micros // (granularity.minutes * 60_000_000)
     # timestamps increase, so each bucket is one contiguous run of rows
-    change = np.ones(len(starts), dtype=bool)
-    change[1:] = starts[1:] != starts[:-1]
+    change = np.ones(len(key), dtype=bool)
+    change[1:] = key[1:] != key[:-1]
     first = np.flatnonzero(change)
+    starts = (key[first] * granularity.minutes).astype("datetime64[m]")
     sizes = np.diff(np.append(first, len(totals)))
     # each mean reduces its own contiguous run, so it equals np.mean of that
     # run's totals bit for bit; runs of equal size are averaged together
@@ -446,6 +592,6 @@ def aggregate(readings: Readings, granularity: Granularity) -> Readings:
     big = ~np.isfinite((len(means) * means) ** 2)
     if big.any():
         i = int(np.argmax(big))
-        raise DataError(f"the bucket starting {starts[first[i]]} averages {means[i]:.6g} kW, "
+        raise DataError(f"the bucket starting {starts[i]} averages {means[i]:.6g} kW, "
                         f"too large to fit a model on {len(means)} buckets")
-    return Readings(starts[first], means[:, None])
+    return Readings(starts, means[:, None])

@@ -271,6 +271,15 @@ class TestRunExperiment:
         # ordered split, validation tail inside training
         assert scaler["hi"][scaler["feature_names"].index("day_of_year")] < 30
 
+    def test_byte_order_mark_gives_the_same_artifacts(self, small_input, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + small_input.read_bytes())
+        want = run_experiment(small_config(small_input, tmp_path / "plain"))
+        got = run_experiment(small_config(marked, tmp_path / "marked"))
+        del want.files["config"]  # run_config.json names the input
+        for name, path in want.files.items():
+            assert got.files[name].read_bytes() == path.read_bytes(), name
+
     @pytest.mark.parametrize("line_end", [b"\n", b"\r"])
     def test_line_ends_give_the_same_artifacts(self, small_input, tmp_path, line_end):
         # synth writes CRLF; an LF or a lone-CR copy must give the same bytes
@@ -386,6 +395,17 @@ class TestWeekSeries:
         with pytest.raises(DataError) as info:
             emit_week_series(path, datetime(2015, 1, 1), tmp_path / "week.csv")
         assert str(info.value) == f"{path}: {fault} at row 5: {row!r}"
+
+    def test_byte_order_mark_gives_the_same_window(self, small_input, tmp_path):
+        # Excel's "CSV UTF-8" writes EF BB BF before the header
+        result = run_experiment(small_config(small_input, tmp_path / "out"))
+        predictions = result.files["predictions"]
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + predictions.read_bytes())
+        anchor = datetime.fromisoformat(predictions.read_text().split("\n")[1][:16])
+        want = emit_week_series(predictions, anchor, tmp_path / "week.csv")
+        got = emit_week_series(marked, anchor, tmp_path / "week-marked.csv")
+        assert got.read_bytes() == want.read_bytes()
 
     def test_empty_window(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))

@@ -13,7 +13,7 @@ from loadcast.features import (
     calendar_features,
     default_lag_offsets,
     feature_names,
-    season_of_month,
+    season_runs,
 )
 from loadcast.readings import Granularity, Readings
 
@@ -80,7 +80,7 @@ def test_season_mapping():
         9: "autumn", 10: "autumn", 11: "autumn",
     }
     for month, season in expected.items():
-        assert season_of_month(month) == season
+        assert SEASONS[season_runs(month - 1) % 4] == season
 
 
 def test_calendar_against_independent_oracle():
@@ -186,7 +186,7 @@ def test_calendar_matches_datetime_on_every_day_1960_to_2040():
         assert fv.day_of_week == ts.weekday()
         assert fv.hour == ts.hour
         assert fv.half_hour == (ts.hour * 60 + ts.minute) // 30
-        assert fv.season == season_of_month(ts.month)
+        assert fv.season == SEASONS[season_runs(ts.month - 1) % 4]
         assert fv.is_weekend == (ts.weekday() >= 5)
         assert fv.day_of_week == oracles.weekday_monday0(ts.year, ts.month, ts.day)
         assert fv.week_of_year == oracles.iso_week(ts.year, ts.month, ts.day)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -642,3 +643,192 @@ class TestAgainstRowOracle:
                 sizes[key] = sizes.get(key, 0) + 1
             if g > 1:  # the input exercises partial buckets
                 assert any(n != g for n in sizes.values())
+
+
+def _block_first_rows(data, block):
+    """Row number of each block's first row when `data` is parsed in blocks of
+    about `block` bytes (the header is row 1; no blank lines)."""
+    with mock.patch.object(readings_module, "BLOCK_BYTES", block):
+        blocks = readings_module._blocks(data, data.index(b"\n") + 1)
+    rows, first = [], 2
+    for buf, size in blocks:
+        rows.append(first)
+        first += buf[:size].tobytes().count(b"\n") + 1
+    return rows
+
+
+class TestTwoWorkers:
+    """Blocks parsed on two threads, whatever this machine's CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(readings_module, "parse_workers", lambda: 2)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.undo()
+        workers = readings_module.parse_workers()
+        assert 1 <= workers <= 2
+        if hasattr(readings_module.os, "sched_getaffinity"):
+            assert workers <= len(readings_module.os.sched_getaffinity(0))
+        monkeypatch.delattr(readings_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(readings_module.os, "cpu_count", lambda: 1)
+        assert readings_module.parse_workers() == 1
+
+    def test_no_pool_for_one_block_or_one_worker(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(readings_module, "ThreadPoolExecutor", no_pool)
+        data = _minute_csv(300)
+        whole = _outcome(data)
+        monkeypatch.setattr(readings_module, "parse_workers", lambda: 1)
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", 512)
+        assert _outcome(data) == whole
+
+    def test_many_blocks_parse_as_one(self, monkeypatch):
+        data = _minute_csv(3000)
+        whole = _outcome(data)
+        for block in (4096, 4097, 50_000):
+            monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+            assert _outcome(data) == whole
+            assert _outcome(data.replace(b"\n", b"\r\n")) == whole
+
+    @pytest.mark.parametrize("earlier, later", [
+        ("negative reading", "malformed timestamp"),
+        ("malformed timestamp", "negative reading"),
+        ("column count", "non-monotonic"),
+    ])
+    def test_the_earlier_block_s_error_is_raised(self, monkeypatch, earlier, later):
+        # blocks 4 and 5 go to different workers; the later block's fault is
+        # on its first row and the earlier block's on its last, so the later
+        # block may well fail first
+        lines = _big_file(6000)
+        data = ("\n".join(lines) + "\n").encode()
+        block = 8192
+        firsts = _block_first_rows(data, block)
+        assert len(firsts) > 10
+        DEEP_FAULTS[earlier][0](lines, firsts[5] - 2)  # the last row of block 4
+        DEEP_FAULTS[later][0](lines, firsts[5] - 1)  # the first row of block 5
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+        with pytest.raises(DataError) as info:
+            parse_readings("\n".join(lines) + "\n")
+        message = DEEP_FAULTS[earlier][1].replace("50000", str(firsts[5] - 1))
+        assert re.match(message, str(info.value))
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_repeated_or_earlier_stamp_on_a_block_edge(self, monkeypatch, step):
+        lines = _big_file(6000)[:3] + _big_file(6000)[4:]  # no blank line
+        data = ("\n".join(lines) + "\n").encode()
+        block = 8192
+        edge = _block_first_rows(data, block)[3]  # row number, line index - 1
+        stamp = datetime.fromisoformat(lines[edge - 2].split(",")[0])
+        _set_cell(lines, edge - 1, 0, (stamp + timedelta(minutes=step)).isoformat())
+        _set_cell(lines, edge + 500, 1, "-1")  # a later block's fault
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+        with pytest.raises(DataError, match=f"^non-monotonic timestamp at row {edge}$"):
+            parse_readings("\n".join(lines) + "\n")
+
+    def test_repeated_stamp_where_a_run_of_rows_starts(self, monkeypatch):
+        # a block's rows are parsed in runs of BLOCK_BYTES / _RUNS bytes; the
+        # first row of the second run repeats the stamp before it
+        lines = _big_file(2000)[:3] + _big_file(2000)[4:]  # no blank line
+        block = 8192
+        run = block // readings_module._RUNS
+        offsets = np.cumsum([len(line) + 1 for line in lines[:-1]])
+        edge = int(np.argmax(offsets - offsets[0] >= run)) + 2  # a row number
+        _set_cell(lines, edge - 1, 0, lines[edge - 2].split(",")[0])
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+        with pytest.raises(DataError, match=f"^non-monotonic timestamp at row {edge}$"):
+            parse_readings("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("g", [1, 15, 1440])
+    def test_bucket_means_bit_identical_across_blocks(self, monkeypatch, g):
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", 4096)
+        text = _gappy_csv(4)
+        rows = oracles.parse_rows(text)
+        repaired = oracles.interpolate_rows(rows)
+        readings = parse_readings(text)
+        filled = interpolate_nulls(readings)
+        nulls = [[np.nan if v is None else v for v in vals] for _, vals in rows]
+        assert np.array_equal(bits(readings.values), bits(nulls))
+        assert np.array_equal(bits(filled.values), bits([v for _, v in repaired]))
+        got = [(r.bucket_start, r.bucket_index, r.target.hex())
+               for r in bucket_records(filled, Granularity(g))]
+        assert got == [(s, i, m.hex()) for s, i, m in oracles.bucket_means(repaired, g)]
+
+    def test_null_runs_at_the_ends_and_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", 2048)
+        rng = np.random.default_rng(8)
+        n = 3000
+        cells = rng.uniform(0, 150, (n, 3)).round(3).astype(str)
+        cells[:40, 0] = ""  # leading
+        cells[-25:, 1] = ""  # trailing
+        cells[500:900, 2] = ""  # about 16 blocks long
+        cells[1000:1400, 0] = ""
+        cells[1401:1500, 0] = ""  # one known row between two runs
+        stamps = np.datetime64("2015-06-01T00:00") + np.arange(n) * np.timedelta64(61, "s")
+        text = "timestamp,a,b,c\n" + "".join(
+            f"{stamp},{','.join(row)}\n"
+            for stamp, row in zip(np.datetime_as_string(stamps).tolist(), cells.tolist())
+        )
+        assert len(text) > 40 * 2048
+        filled = interpolate_nulls(parse_readings(text))
+        repaired = oracles.interpolate_rows(oracles.parse_rows(text))
+        assert np.array_equal(bits(filled.values), bits([v for _, v in repaired]))
+
+    def test_peak_memory_with_two_workers(self, monkeypatch):
+        block = 1 << 16
+        data = _minute_csv(60_000)
+        monkeypatch.setattr(readings_module, "BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            readings = parse_readings(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = readings.timestamps.nbytes + readings.values.nbytes
+        assert peak < result + 16 * block
+
+
+class TestByteOrderMark:
+    BOM = b"\xef\xbb\xbf"
+
+    def test_parses_as_without_one(self):
+        data = _minute_csv(200)
+        assert _outcome(self.BOM + data) == _outcome(data)
+        assert _outcome((self.BOM + data).decode("utf-8")) == _outcome(data)
+        # rows and columns are numbered as without the mark
+        bad = data + b"2015-01-02T00:00,1,2,3,4,-5,6\n"
+        assert _outcome(self.BOM + bad) == _outcome(bad)
+        assert _outcome(bad) == "negative reading at row 202, column 5"
+
+    def test_utf8_errors_count_from_the_first_byte(self):
+        data = self.BOM + _minute_csv(20) + b"2015-01-02T00:00,1,\xff\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as info:
+            parse_readings(data)
+        assert str(info.value) == str(whole.value)
+
+    def test_only_a_leading_mark_is_skipped(self):
+        for data in (self.BOM, self.BOM + b"\n", b"\n" + self.BOM + b"timestamp,a\n"):
+            with pytest.raises(DataError):
+                parse_readings(data)
+
+
+def test_bucket_keys_before_1970_with_seconds():
+    # the floor division keys stamps before the epoch, with seconds and
+    # microseconds, into the buckets of their own date and minute
+    start = datetime(1969, 12, 30, 22, 58, 59)
+    stamps = [start + timedelta(seconds=37 * i, microseconds=i % 3 * 250_000)
+              for i in range(300)]
+    rows = [(ts, (float(i % 17), 0.5)) for i, ts in enumerate(stamps)]
+    readings = readings_of(stamps, [values for _, values in rows])
+    for g in (1, 15, 60, 1440):
+        got = [(r.bucket_start, r.bucket_index, r.target.hex())
+               for r in bucket_records(readings, Granularity(g))]
+        assert got == [(s, i, m.hex()) for s, i, m in oracles.bucket_means(rows, g)]
+        np.testing.assert_array_equal(
+            bucket_index_of(readings.timestamps, Granularity(g)),
+            [(ts.hour * 60 + ts.minute) // g for ts in stamps],
+        )
