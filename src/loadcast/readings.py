@@ -75,7 +75,10 @@ def bucket_index_of(timestamps, granularity: Granularity):
 _TS_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
 # _TS_LENGTH_OK[k]: k is one of the lengths; a longer field reads the last entry
 _TS_LENGTH_OK = np.isin(np.arange(len(_TS_TEMPLATE) + 2), (10, 16, 19, 21, 22, 23, 24, 25, 26))
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# least and greatest month, day, hour, minute and second; a day past its
+# month's end gives a date in the next month
+_TS_LEAST = np.array([1, 1, 0, 0, 0], dtype=np.uint8)[:, None]
+_TS_MOST = np.array([12, 99, 23, 59, 59], dtype=np.uint8)[:, None]
 # longest reading cell read; a longer one is malformed. This bounds the
 # (cells x width) byte matrix the cells are converted from.
 _MAX_CELL = 64
@@ -360,10 +363,9 @@ def _gather(words, start, length, width):
     """Byte k of every field as row k of a (width, fields) matrix, zero past
     each field's end. `words[i]` is the little-endian uint64 of the eight
     bytes from offset i, for every offset a field's bytes are read from."""
-    packed = np.empty((len(start), -(-width // 8)), dtype="<u8")
-    for w in range(packed.shape[1]):
-        packed[:, w] = words[start + 8 * w]
-        packed[:, w] &= _LOW_BYTES[np.clip(length - 8 * w, 0, 8)]
+    offsets = np.arange(0, width, 8)  # of each field's words
+    packed = words[start[:, None] + offsets]
+    packed &= _LOW_BYTES[np.clip(length[:, None] - offsets, 0, 8)]
     return np.ascontiguousarray(packed.view(np.uint8).T[:width])
 
 
@@ -388,21 +390,23 @@ def _parse_timestamps(words, start, length):
     # the two-digit number at each place; a field's numbers start at
     # places 0, 5, 8, 11, 14, 17 and 20
     pairs = digits[:-1] * np.uint8(10) + digits[1:]
-    month, day = pairs[5], pairs[8]
-    hour, minute, second = pairs[11], pairs[14], pairs[17]
+    month, day, hour, minute, second = parts = pairs[[5, 8, 11, 14, 17]]
+    ok &= ((parts >= _TS_LEAST) & (parts <= _TS_MOST)).all(axis=0)
     year = pairs[0].astype(np.int64) * 100 + pairs[2]
+    ok &= year >= 1
+    months = (year - 1970) * 12 + month - 1
+    dates = _first_days(months) + (day.astype(np.int64) - 1)
+    ok &= dates < _first_days(months + 1)  # else the day is past its month's end
     microsecond = (pairs[20].astype(np.int64) * 100 + pairs[22]) * 100 + pairs[24]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    ok &= (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
-
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    dates = months.astype("datetime64[D]") + (day - 1)
     micros = ((hour.astype(np.int64) * 60 + minute) * 60 + second) * 1_000_000 + microsecond
     timestamps = dates.astype("datetime64[us]") + micros
     timestamps[~ok] = np.datetime64("NaT")
     return timestamps
+
+
+def _first_days(months):
+    """datetime64[D] of the first day of each month, counted from 1970-01."""
+    return months.astype("datetime64[M]").astype("datetime64[D]")
 
 
 def _parse_cells(words, start, length):
