@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import codecs
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
@@ -74,7 +73,8 @@ def bucket_index_of(timestamps, granularity: Granularity):
 # by HH:MM, HH:MM:SS or HH:MM:SS.f to HH:MM:SS.ffffff; no UTC offset
 _TS_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00.000000", dtype=np.uint8)
 # _TS_LENGTH_OK[k]: k is one of the lengths; a longer field reads the last entry
-_TS_LENGTH_OK = np.isin(np.arange(len(_TS_TEMPLATE) + 2), (10, 16, 19, 21, 22, 23, 24, 25, 26))
+_TS_LENGTH_OK = np.array([k in (10, 16, 19, 21, 22, 23, 24, 25, 26)
+                          for k in range(len(_TS_TEMPLATE) + 2)])
 # least and greatest month, day, hour, minute and second; a day past its
 # month's end gives a date in the next month
 _TS_LEAST = np.array([1, 1, 0, 0, 0], dtype=np.uint8)[:, None]
@@ -148,6 +148,10 @@ def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
 
     blocks = _blocks(data, _next_line(data, header_end))
     workers = min(parse_workers(), len(blocks))
+    if workers > 1:
+        # imported here, so that commands which parse no large input do not
+        # pay for concurrent.futures and the logging it imports
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         counts = _each(pool, workers, len(blocks), lambda i: _count_block(*blocks[i]))
         rows = np.cumsum([0] + [r for r, _ in counts])

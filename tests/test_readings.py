@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import re
 import tracemalloc
@@ -678,7 +679,7 @@ class TestTwoWorkers:
         def no_pool(*args):
             raise AssertionError("a pool was created")
 
-        monkeypatch.setattr(readings_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         data = _minute_csv(300)
         whole = _outcome(data)
         monkeypatch.setattr(readings_module, "parse_workers", lambda: 1)
