@@ -98,7 +98,7 @@ _CELL_PROBLEMS = {
 BLOCK_BYTES = 1 << 20
 # a block's rows are parsed in runs of BLOCK_BYTES / _RUNS bytes: long enough
 # that numpy's loops, run without the GIL, outweigh the Python between them,
-# and short enough that a run's temporaries stay about a block's bytes
+# and short enough that a run's temporaries stay about two blocks' bytes
 _RUNS = 4
 # bytes past a block's end that `_gather` may read: a field of up to _MAX_CELL
 # bytes read as whole 8-byte words
@@ -128,8 +128,8 @@ def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
     (numpy releases the GIL inside its loops). Each block's rows and lines
     are counted first, so the result arrays are allocated once at their exact
     size and every block parses into its own rows of them. Beside the input
-    and the result, each thread holds one block's temporaries. The first
-    error in file order is the one raised.
+    and the result, each thread holds one run of rows' temporaries. The
+    first error in file order is the one raised.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
