@@ -277,6 +277,35 @@ class TestSerialization:
             assert load_model(dump_model(model)).config == model.config
 
 
+    def test_hand_written_models(self):
+        # a forest of one tree, and two boosted trees: one a single leaf
+        # holding -0.0, one a split at an infinite threshold
+        split = RegressionTree(np.array([0, -1, -1]), np.array([np.inf, np.nan, np.nan]),
+                               np.array([1, -1, -1]), np.array([np.nan, 1.5, -2.0]),
+                               np.array([3, 2, 1]), n_features=2)
+        leaf = RegressionTree(np.array([-1]), np.array([np.nan]), np.array([-1]),
+                              np.array([-0.0]), np.array([3]), n_features=2)
+        split_doc = {"n_features": 2, "root": {
+            "kind": "split", "feature_id": 0, "threshold": np.inf,
+            "left": {"kind": "leaf", "value": 1.5, "n_samples": 2},
+            "right": {"kind": "leaf", "value": -2.0, "n_samples": 1}}}
+        leaf_doc = {"n_features": 2, "root": {"kind": "leaf", "value": -0.0, "n_samples": 3}}
+        forest = ForestModel(trees=[split], config=ForestConfig(n_trees=1))
+        gbt = GbtModel(base_score=0.25, trees=[leaf, split], config=GbtConfig(n_rounds=2))
+        for model, doc in (
+            (forest, {"model": "random_forest", "trees": [split_doc]}),
+            (gbt, {"model": "gradient_boosting", "base_score": 0.25,
+                   "trees": [leaf_doc, split_doc]}),
+        ):
+            doc["config"] = dataclasses.asdict(model.config)
+            assert dump_model(model) == json.dumps(doc, sort_keys=True)
+
+    def test_unknown_model_type_is_a_config_error(self):
+        tree = fit_tree(FOUR_POINT_X, FOUR_POINT_Y)
+        with pytest.raises(ConfigError, match="cannot serialize RegressionTree"):
+            dump_model(tree)
+
+
 class TestOneRowPredict:
     def test_equals_scalar_definitions_bit_for_bit(self):
         # the forest mean of one row adds its trees' values in order and then

@@ -482,6 +482,17 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "UTC offset at row 3" in proc.stderr
 
+    def test_negative_synth_seed_exit_code(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(loadcast.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loadcast.cli", "synth", "--days", "1", "--seed", "-1",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("reading, day, mean", [
         ("1e200", "2015-01-01", "2e+200"),  # finite, but its square overflows
         ("1.5e308", "2015-01-02", "inf"),  # the sum of two meters overflows

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from loadcast.errors import ConfigError
 from loadcast.readings import parse_readings
-from loadcast.synthetic import SyntheticSpec, format_cells, generate_synthetic
+from loadcast.synthetic import SyntheticSpec, _block_days, format_cells, generate_synthetic
 
 
 def test_deterministic_noise_free_day(tmp_path):
@@ -80,11 +80,13 @@ def test_spec_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 SyntheticSpec(**{name: bad})
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        SyntheticSpec(seed=-1)
 
 
 def _texts(values):
-    chars, keep = format_cells(np.asarray(values, dtype=float))
-    return [c[k].tobytes().decode() for c, k in zip(chars, keep)]
+    fields = format_cells(np.asarray(values, dtype=float))
+    return [c[c != 0].tobytes().decode() for c in fields]
 
 
 class TestFormatCells:
@@ -111,6 +113,14 @@ class TestFormatCells:
         values = [m / 16 for m in range(1, 400, 2)] + [12345.0625, 4294967.3125, 1e6 + 0.9375]
         assert _texts(values) == [f"{v:.3f}" for v in values]
         assert _texts([0.0625, 0.1875]) == ["0.062", "0.188"]
+
+    def test_mixed_widths_in_one_call(self):
+        # whole parts of 1 to 8 digits, on both sides of each 4-digit group
+        # boundary, formatted together: no cell takes another's width
+        values = [5.0, 12345.678, 0.25, 10000.0, 9999.9994, 99999999.999, 4294967.3125,
+                  1000.5, 999.999, 42.042, 10042.0, 1234567.891, 0.0]
+        assert _texts(values) == [f"{v:.3f}" for v in values]
+        assert _texts(values[::-1]) == [f"{v:.3f}" for v in values[::-1]]
 
     def test_cells_left_to_python(self):
         values = [0.0, -0.0, 0.0004999, 9.9995, 2.0 ** 32 / 1000, 1e10 + 0.5, 2.0 ** 53, 1e20,
@@ -148,6 +158,31 @@ def test_same_bytes_as_the_row_by_row_writer(tmp_path_factory, spec):
     got = generate_synthetic(spec, work / "got.csv").read_bytes()
     want = oracles.row_by_row_synthetic(spec, work / "want.csv").read_bytes()
     assert got == want
+
+
+@pytest.mark.parametrize("base_kw, widths", [(990.0625, [3, 4, 4]), (9990.0625, [4, 5, 5])])
+def test_block_edges_match_the_row_by_row_writer(tmp_path, base_kw, widths):
+    # three blocks, the last of 7 days. The level climbs past 1000 (or
+    # 10000) kW in the second block, so its cells are one digit wider than
+    # the first block's; the first minute, 2015-12-31T00:00, is base_kw + 0.5,
+    # a half in thousandths, which Python formats; seed 54 nulls a cell in
+    # the last and the first minute at each block edge.
+    block = _block_days(2)
+    spec = SyntheticSpec(start=date(2015, 12, 31), days=2 * block + 7, meters=2,
+                         base_kw=base_kw, daily_amplitude=1.0, weekly_amplitude=0.5,
+                         seasonal_amplitude=20.0, noise_std=0.0, null_rate=0.2, seed=54)
+    got = generate_synthetic(spec, tmp_path / "got.csv").read_bytes()
+    want = oracles.row_by_row_synthetic(spec, tmp_path / "want.csv").read_bytes()
+    assert got == want
+
+    rows = [line.split(b",")[1:] for line in got.splitlines()[1:]]
+    assert (base_kw + 0.5) * 1000 % 1 == 0.5
+    assert rows[0] == [f"{base_kw + 0.5:.3f}".encode()] * 2
+    for edge in (block, 2 * block):
+        assert b"" in rows[edge * 1440 - 1] and b"" in rows[edge * 1440]
+    assert [max(len(cell.split(b".")[0]) for row in rows[b * 1440 : (b + block) * 1440]
+                for cell in row if cell)
+            for b in (0, block, 2 * block)] == widths
 
 
 def test_pinned_digest(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -256,6 +257,38 @@ class TestSerialization:
             restored.predict_many(probe), tree.predict_many(probe)
         )
         assert dump_tree(restored) == dump_tree(tree)
+
+    @pytest.mark.parametrize("arrays, root", [
+        pytest.param(([-1], [math.nan], [-1], [2.5], [4]),
+                     {"kind": "leaf", "value": 2.5, "n_samples": 4}, id="single-leaf"),
+        pytest.param(([-1], [math.nan], [-1], [-0.0], [1]),
+                     {"kind": "leaf", "value": -0.0, "n_samples": 1}, id="negative-zero-leaf"),
+        pytest.param(([1, -1, -1], [math.inf, math.nan, math.nan], [1, -1, -1],
+                      [math.nan, -0.0, 7.25], [5, 3, 2]),
+                     {"kind": "split", "feature_id": 1, "threshold": math.inf,
+                      "left": {"kind": "leaf", "value": -0.0, "n_samples": 3},
+                      "right": {"kind": "leaf", "value": 7.25, "n_samples": 2}},
+                     id="infinite-threshold"),
+        # subtrees of unequal size on either side: the root's left child is a
+        # leaf, its right child splits, and that split's left child splits
+        pytest.param(([0, -1, 2, 1, -1, -1, -1], [0.5, math.nan, -1.25, 3.0] + [math.nan] * 3,
+                      [1, -1, 3, 5, -1, -1, -1], [math.nan, 1.0, math.nan, math.nan, 2.0, 3.0, 4.0],
+                      [9, 2, 7, 4, 3, 1, 3]),
+                     {"kind": "split", "feature_id": 0, "threshold": 0.5,
+                      "left": {"kind": "leaf", "value": 1.0, "n_samples": 2},
+                      "right": {"kind": "split", "feature_id": 2, "threshold": -1.25,
+                                "left": {"kind": "split", "feature_id": 1, "threshold": 3.0,
+                                         "left": {"kind": "leaf", "value": 3.0, "n_samples": 1},
+                                         "right": {"kind": "leaf", "value": 4.0, "n_samples": 3}},
+                                "right": {"kind": "leaf", "value": 2.0, "n_samples": 3}}},
+                     id="lopsided"),
+    ])
+    def test_hand_written_trees(self, arrays, root):
+        feature, threshold, child, value, n_samples = (np.array(a) for a in arrays)
+        tree = RegressionTree(feature, threshold, child, value, n_samples, n_features=3)
+        expected = json.dumps({"n_features": 3, "root": root}, sort_keys=True)
+        assert dump_tree(tree) == expected
+        assert dump_tree(load_tree(expected)) == expected
 
 
 @st.composite
