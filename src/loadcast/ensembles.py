@@ -16,11 +16,11 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tree import (
     TreeConfig,
-    dump_trees,
     grow_level_wise,
     predict_trees,
     presort,
     tree_from_dict,
+    tree_to_dict,
 )
 
 
@@ -149,7 +149,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
 
 # ---------------------------------------------------------------------------
 # serialization: a model's fields as JSON, each tree in the nested layout of
-# `dump_trees`
+# `tree_to_dict`
 
 MODELS = {
     "random_forest": (ForestModel, ForestConfig),
@@ -161,10 +161,9 @@ def dump_model(model) -> str:
     kind = next((k for k, (cls, _) in MODELS.items() if type(model) is cls), None)
     if kind is None:
         raise ConfigError(f"cannot serialize {type(model).__name__}")
-    doc = {**vars(model), "model": kind, "config": asdict(model.config), "trees": []}
-    # "trees" sorts last, so the text of its list closes the document
-    assert max(doc) == "trees"
-    return json.dumps(doc, sort_keys=True)[: -len("[]}")] + dump_trees(model.trees) + "}"
+    doc = {**vars(model), "model": kind, "config": asdict(model.config)}
+    doc["trees"] = [tree_to_dict(t) for t in model.trees]
+    return json.dumps(doc, sort_keys=True)
 
 
 def load_model(text: str):

@@ -76,18 +76,19 @@ def _words(chars) -> np.ndarray:
     return np.ascontiguousarray(chars, np.uint8).view(np.uint32)[:, 0]
 
 
-# The whole part is written 4 digits (one group) per lookup of q in 0..9999.
-# A group below a cell's leading group keeps its zeros ("0042"); the leading
-# group is right-aligned in NULs, with at least its units digit in the lowest
-# group, and the groups above it stay NUL (q is 0 there). Each table holds
-# the inner words at [q] and the leading ones at [q + _GROUP].
-_GROUP = 10_000
+# The whole part is written as its low 4 digits (q in 0..9999) and, when it
+# has more, the digits above them (at most 429 below 2**32 - 1 thousandths).
+# Low digits under upper ones keep their zeros ("0042"); a leading part is
+# right-aligned in NULs, with at least the units digit, so upper digits of 0
+# are all NUL. `_LOW` holds the inner words at [q] and the leading ones at
+# [q + _GROUP].
+_GROUP = np.uint32(10_000)
 _q = np.arange(_GROUP)[:, None]
 _place = 10 ** np.arange(3, -1, -1)
 _digits = 48 + _q // _place % 10
-_INNER = _words(_digits)
-_LOWEST = np.concatenate([_INNER, _words(np.where((_q >= _place) | (_place == 1), _digits, 0))])
-_UPPER = np.concatenate([_INNER, _words(np.where(_q >= _place, _digits, 0))])
+_LEADING = _words(np.where(_q >= _place, _digits, 0))
+_LOW = np.concatenate([_words(_digits),
+                       _words(np.where((_q >= _place) | (_place == 1), _digits, 0))])
 # ".ddd" for each count of thousandths
 _POINT = _words(np.column_stack([np.full(1000, ord(".")), _digits[:1000, 1:]]))
 
@@ -99,9 +100,10 @@ def format_cells(values: np.ndarray) -> np.ndarray:
     bytes.
 
     Cells are rounded as integers (`values * 1000`) and written from table
-    lookups: 4 digits of the whole part per lookup, then the thousandths. A
-    cell whose product is within `_HALF_MARGIN` of a half or 2**32 - 1 or
-    more, or that is negative or not finite, is formatted by Python instead."""
+    lookups: the whole part's low 4 digits, the digits above them, and the
+    thousandths, one lookup each. A cell whose product is within
+    `_HALF_MARGIN` of a half or 2**32 - 1 or more, or that is negative or not
+    finite, is formatted by Python instead."""
     with np.errstate(invalid="ignore", over="ignore"):
         x = values * 1000.0
         rounded = np.rint(x)
@@ -111,22 +113,15 @@ def format_cells(values: np.ndarray) -> np.ndarray:
     texts = [f"{v:.3f}".encode() for v in values[python].tolist()]
     if texts:
         rounded[python] = 0
-    whole = rounded // 1000
-    thousandths = rounded - whole * 1000
-    groups = 1
-    while whole.max(initial=0) >= _GROUP ** groups:
-        groups += 1
-    words = max([groups + 1] + [-(-len(t) // 4) for t in texts])
+    whole, thousandths = np.divmod(rounded, 1000)
+    upper, low = np.divmod(whole, _GROUP)
+    words = max([2 + bool(upper.any())] + [-(-len(t) // 4) for t in texts])
 
     fields = np.zeros(values.shape + (words,), np.uint32)
     fields[..., -1] = _POINT.take(thousandths)
-    if groups == 1:
-        fields[..., -2] = _LOWEST.take(_GROUP + whole)
-    else:
-        for g in range(groups):
-            q = whole // _GROUP ** g % _GROUP
-            leading = whole < _GROUP ** (g + 1) if g < groups - 1 else True
-            fields[..., -2 - g] = (_LOWEST if g == 0 else _UPPER).take(q + _GROUP * leading)
+    fields[..., -2] = _LOW.take(low + _GROUP * (upper == 0))
+    if words > 2:
+        fields[..., -3] = _LEADING.take(upper)
     if texts:
         padded = b"".join(t.rjust(4 * words, b"\0") for t in texts)
         fields[python] = np.frombuffer(padded, np.uint32).reshape(len(texts), words)
@@ -152,8 +147,8 @@ def _csv_lines(dates: np.ndarray, clock: np.ndarray, fields: np.ndarray) -> byte
 
 
 def _block_days(meters: int) -> int:
-    """Days in a block of about BLOCK_BYTES of lines of one-group cells:
-    a stamp, 9 bytes a meter and CRLF."""
+    """Days in a block of about BLOCK_BYTES of lines of cells with at most
+    4 whole digits: a stamp, 9 bytes a meter and CRLF."""
     return max(1, BLOCK_BYTES // (1440 * (18 + 9 * meters)))
 
 

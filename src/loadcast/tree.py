@@ -105,7 +105,11 @@ def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
     if X.ndim != 2 or any(tree.n_features != X.shape[1] for tree in trees):
         expected = trees[0].n_features
         raise SchemaError(f"expected rows of {expected} features, got shape {X.shape}")
-    roots, feature, threshold, child, value, _ = _stack(trees)
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, child, value = (np.concatenate([getattr(tree, name) for tree in trees])
+                                        for name in ("feature", "threshold", "child", "value"))
+    child += np.repeat(roots, sizes)  # ids within the stack
     # pair p is row p % len(X) of tree p // len(X), and starts at that root
     at = np.repeat(roots, len(X))
     moving = np.flatnonzero(feature[at] >= 0)  # pairs still at a split
@@ -116,17 +120,6 @@ def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
         at[moving] = child[node] + right
         moving = moving[feature[at[moving]] >= 0]
     return value[at].reshape(len(trees), len(X))
-
-
-def _stack(trees: Sequence[RegressionTree]) -> tuple:
-    """Each tree's root id, then the node arrays of all trees end to end:
-    feature, threshold, child (as ids within the stack), value, n_samples."""
-    sizes = [len(tree.feature) for tree in trees]
-    roots = np.cumsum(sizes) - sizes
-    feature, threshold, child, value, n_samples = (
-        np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("feature", "threshold", "child", "value", "n_samples"))
-    return roots, feature, threshold, child + np.repeat(roots, sizes), value, n_samples
 
 
 def best_split(X: np.ndarray, y: np.ndarray) -> Optional[SplitCandidate]:
@@ -344,9 +337,28 @@ def fit_tree(
     return grow_level_wise(X, y, presort(X), config or TreeConfig())
 
 
+def tree_to_dict(tree: RegressionTree) -> dict:
+    """The tree as nested {"kind": "leaf" | "split", ...} nodes."""
+    feature, threshold, child, value, n_samples = (a.tolist() for a in (
+        tree.feature, tree.threshold, tree.child, tree.value, tree.n_samples))
+
+    def enc(i):
+        if feature[i] < 0:
+            return {"kind": "leaf", "value": value[i], "n_samples": n_samples[i]}
+        return {
+            "kind": "split",
+            "feature_id": feature[i],
+            "threshold": threshold[i],
+            "left": enc(child[i]),
+            "right": enc(child[i] + 1),
+        }
+
+    return {"n_features": tree.n_features, "root": enc(0)}
+
+
 def tree_from_dict(doc: dict) -> RegressionTree:
-    """The tree of one nested dict of `dump_trees`, its nodes numbered
-    breadth-first: the i-th split node's children are 2i + 1 and 2i + 2."""
+    """The inverse of `tree_to_dict`, its nodes numbered breadth-first: the
+    i-th split node's children are 2i + 1 and 2i + 2."""
     nodes = [doc["root"]]
     for d in nodes:  # each split appends its children when it is reached
         nodes += [d["left"], d["right"]] if d["kind"] == "split" else []
@@ -361,74 +373,8 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     return RegressionTree(feature, threshold, child, value, size, doc["n_features"])
 
 
-# the text between a node's numbers and children, in sorted key order
-_LEAF = ('{"kind": "leaf", "n_samples": ', ', "value": ', "}")
-_SPLIT = ('{"feature_id": ', ', "kind": "split", "left": ', ', "right": ', ', "threshold": ',
-          "}")
-
-
-def _json_numbers(a: np.ndarray) -> list:
-    """json's text of each number of `a`, `-0.0`, `NaN` and `Infinity` included."""
-    return json.dumps(a.tolist())[1:-1].split(", ") if len(a) else []
-
-
-def dump_trees(trees: Sequence[RegressionTree]) -> str:
-    """The trees as a JSON list, each `json.dumps(..., sort_keys=True)` of
-    {"n_features": n, "root": node}, where a node is {"kind": "leaf",
-    "value", "n_samples"} or {"kind": "split", "feature_id", "threshold",
-    "left": node, "right": node}.
-
-    The text is built from all trees' node arrays at once, as pieces: 5 for
-    a leaf, 7 around a split's two subtrees, and one before and one after
-    each root. One pass down finds each depth's nodes, one pass up counts
-    each subtree's pieces, one pass down places each node's first piece,
-    and the numbers come from one `json.dumps` per kind."""
-    if not trees:
-        return "[]"
-    roots, feature, threshold, child, value, n_samples = _stack(trees)
-    levels = []  # the split nodes of each depth
-    nodes = roots
-    while len(nodes):
-        levels.append(nodes[feature[nodes] >= 0])
-        nodes = np.concatenate([child[levels[-1]], child[levels[-1]] + 1])
-    size = np.full(len(feature), 5)  # the texts of _LEAF and two numbers
-    for splits in reversed(levels):  # the texts of _SPLIT, two numbers and the subtrees
-        size[splits] = 7 + size[child[splits]] + size[child[splits] + 1]
-    spans = size[roots] + 2
-    first = np.cumsum(spans) - spans  # each tree's opening piece
-    start = np.empty(len(feature), dtype=np.intp)
-    start[roots] = first + 1
-    for splits in levels:
-        left = child[splits]
-        start[left] = start[splits] + 3
-        start[left + 1] = start[left] + size[left] + 1
-
-    pieces = np.empty(int(first[-1] + spans[-1]), dtype=object)
-    n_features = _json_numbers(np.array([tree.n_features for tree in trees]))
-    pieces[first] = [f'{", " * (i > 0)}{{"n_features": {n}, "root": '
-                     for i, n in enumerate(n_features)]
-    pieces[first + spans - 1] = "}"
-    leaves = np.flatnonzero(feature < 0)
-    at = start[leaves]
-    pieces[at] = _LEAF[0]
-    pieces[at + 1] = _json_numbers(n_samples[leaves])
-    pieces[at + 2] = _LEAF[1]
-    pieces[at + 3] = _json_numbers(value[leaves])
-    pieces[at + 4] = _LEAF[2]
-    splits = np.flatnonzero(feature >= 0)
-    at, end = start[splits], start[splits] + size[splits]
-    pieces[at] = _SPLIT[0]
-    pieces[at + 1] = _json_numbers(feature[splits])
-    pieces[at + 2] = _SPLIT[1]
-    pieces[start[child[splits] + 1] - 1] = _SPLIT[2]
-    pieces[end - 3] = _SPLIT[3]
-    pieces[end - 2] = _json_numbers(threshold[splits])
-    pieces[end - 1] = _SPLIT[4]
-    return "[" + "".join(pieces.tolist()) + "]"
-
-
 def dump_tree(tree: RegressionTree) -> str:
-    return dump_trees([tree])[1:-1]
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
 
 
 def load_tree(text: str) -> RegressionTree:
