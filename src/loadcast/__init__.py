@@ -33,7 +33,6 @@ from .readings import (
     interpolate_nulls,
     parse_readings,
 )
-from .scaling import Scaler, fit_scaler
 from .splitting import SplitSpec, split
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tree import (

@@ -21,7 +21,6 @@ from .ensembles import ForestConfig, GbtConfig
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .experiment import ExperimentConfig, emit_week_series, run_experiment
 from .metrics import MAD_MODES, MetricsReport, compare_models
-from .scaling import SCALER_KINDS
 from .splitting import SEASONS, STRATEGIES, SplitSpec
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tree import GAIN_MODES, TreeConfig
@@ -148,14 +147,11 @@ def cmd_run(args) -> int:
         raise ConfigError("run needs --input (or input in the config file)")
     options = _given(
         granularity=args.granularity,
-        scaler=args.scaler,
         lags=args.lags,
         lag_offsets=args.lag_offsets,
         validation_fraction=args.validation_fraction,
         mad_mode=args.mad_mode,
     )
-    if args.scaler == "none":
-        options["scaler"] = None
     config = ExperimentConfig(
         input_path=args.input,
         out_dir=args.out_dir,
@@ -256,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=" | ".join([*_SPLITS, _SEASON_SPLIT]),
     )
     run.add_argument("--train-fraction", dest="train_fraction", type=float)
-    run.add_argument("--scaler", choices=[*SCALER_KINDS, "none"])
     run.add_argument("--lags", action=argparse.BooleanOptionalAction)
     run.add_argument(
         "--lag-offsets", dest="lag_offsets", type=_parse_offsets,

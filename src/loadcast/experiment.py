@@ -23,10 +23,9 @@ import numpy as np
 from .blend import EnsembleWeights, fit_weights, predict_blend_many
 from .ensembles import ForestConfig, GbtConfig, dump_model, fit_forest, fit_gbt
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
-from .features import build_samples, default_lag_offsets, feature_names
+from .features import build_samples, default_lag_offsets
 from .metrics import ComparisonTable, check_mad_mode, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
-from .scaling import SCALER_KINDS, fit_scaler
 from .splitting import SplitSpec, split, validation_split
 
 MODEL_RF = "random_forest"
@@ -42,7 +41,6 @@ class ExperimentConfig:
     out_dir: Path
     granularity: int = 1440
     split: SplitSpec = field(default_factory=lambda: SplitSpec("monthly"))
-    scaler: Optional[str] = "minmax"  # "minmax", "maxabs", or None
     lags: bool = False
     lag_offsets: Optional[tuple] = None  # None with lags: the day-ahead defaults
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -59,8 +57,6 @@ class ExperimentConfig:
                 "validation_fraction must be in (0, 0.5), "
                 f"got {self.validation_fraction}"
             )
-        if self.scaler is not None and self.scaler not in SCALER_KINDS:
-            raise ConfigError(f"unknown scaler {self.scaler!r}")
         check_mad_mode(self.mad_mode)
         if self.lag_offsets is not None and not self.lag_offsets:
             raise ConfigError("lag offsets must not be empty, got []")
@@ -99,7 +95,6 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     granularity = Granularity(config.granularity)
-    names = feature_names(config.lag_offsets)
 
     def make_out_dir():
         try:
@@ -136,11 +131,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "split", validation_split, samples, config.split, config.validation_fraction
     )
 
-    X, scaler = samples.X, None
-    if config.scaler is not None:
-        scaler = _stage("scale", fit_scaler, X[train_core], names, config.scaler)
-        # elementwise: each row gets the bits a transform of its subset gives
-        X = scaler.transform(X)
+    X = samples.X
     X_core, y_core = X[train_core], samples.y[train_core]
     X_val, y_val = X[validation], samples.y[validation]
     X_test, y_test = X[test], samples.y[test]
@@ -186,10 +177,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "forest": ("forest.json", dump_model(forest)),
         "gbt": ("gbt.json", dump_model(gbt)),
         "weights": ("blend_weights.json", dump_json(weights)),
+        "config": ("run_config.json", dump_json(config)),
     }
-    if scaler is not None:
-        texts["scaler"] = ("scaler.json", dump_json(scaler))
-    texts["config"] = ("run_config.json", dump_json(config))
     files = _stage("write-output", _write_outputs, config.out_dir, texts)
     return ExperimentResult(
         reports=reports,

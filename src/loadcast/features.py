@@ -29,9 +29,6 @@ BASE_FEATURES = (
     "is_weekend",
 )
 
-# enum/boolean features that skip scaling and ride along as small integers
-PASSTHROUGH_FEATURES = frozenset({"season", "is_weekend"})
-
 
 def season_runs(months):
     """The season run of each month: runs are the three months from each

@@ -91,9 +91,6 @@ class RegressionTree:
             depth += 1
         return depth
 
-    def node_count(self) -> int:
-        return len(self.feature)
-
 
 def predict_trees(trees: Sequence[RegressionTree], X) -> np.ndarray:
     """(trees, rows): each tree's prediction of each row of X. The trees'

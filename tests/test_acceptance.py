@@ -28,7 +28,6 @@ from loadcast.readings import (
     bucket_index_of,
     interpolate_nulls,
 )
-from loadcast.scaling import fit_scaler
 from loadcast.splitting import SplitSpec, split
 from loadcast.synthetic import SyntheticSpec, generate_synthetic
 from loadcast.tree import TreeConfig, best_split, fit_tree
@@ -207,16 +206,6 @@ def test_criterion_7_pipeline_correctness():
         for orig, fixed in zip(vals, once.values[:, 0]):
             if orig is not None:
                 assert fixed == orig
-
-    # scaler roundtrip within 1e-12
-    for kind in ("minmax", "maxabs"):
-        for _ in range(20):
-            n, p = int(rng.integers(2, 40)), int(rng.integers(1, 5))
-            X = rng.uniform(-200, 200, (n, p))
-            names = [f"f{j}" for j in range(p)]
-            scaler = fit_scaler(X, names, kind)
-            back = scaler.inverse_transform(scaler.transform(X))
-            assert np.max(np.abs(back - X)) <= 1e-12 * max(1.0, np.abs(X).max())
 
     # bucket index identity
     for g in (1, 10, 30, 60, 720, 1440):

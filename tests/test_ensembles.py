@@ -190,7 +190,7 @@ class TestGbt:
 
 def assert_one_tree(tree, n_rows):
     """The node arrays form one binary tree over the n_rows training rows."""
-    n = tree.node_count()
+    n = len(tree.feature)
     assert all(a.dtype.kind == "i" for a in (tree.feature, tree.child, tree.n_samples))
     assert tree.threshold.dtype == tree.value.dtype == np.float64
     assert all(len(a) == n for a in (tree.threshold, tree.child, tree.value, tree.n_samples))
@@ -222,7 +222,7 @@ class TestNodeArrays:
         forest = fit_forest(X, y, ForestConfig(n_trees=5, tree=tree, seed=seed))
         gbt = fit_gbt(X, y, GbtConfig(n_rounds=5, tree=tree))
         for model in (forest, gbt):
-            assert any(t.node_count() > 1 for t in model.trees)
+            assert any(len(t.feature) > 1 for t in model.trees)
             for t in model.trees + load_model(dump_model(model)).trees:
                 assert_one_tree(t, len(y))
 

@@ -25,12 +25,11 @@ from loadcast.experiment import (
     emit_week_series,
     run_experiment,
 )
-from loadcast.features import build_samples
+from loadcast.features import BASE_FEATURES, build_samples
 from loadcast.metrics import MetricsReport
 from loadcast import readings as readings_module
 from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
-from loadcast.scaling import Scaler
-from loadcast.splitting import SplitSpec, split
+from loadcast.splitting import SplitSpec, split, validation_split
 from loadcast.synthetic import SyntheticSpec, generate_synthetic
 from loadcast.tree import TreeConfig
 
@@ -60,6 +59,15 @@ def small_config(input_path, out_dir, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def run_samples(config):
+    """The samples run_experiment builds from config's input."""
+    readings = interpolate_nulls(parse_readings(config.input_path.read_text()))
+    granularity = Granularity(config.granularity)
+    return build_samples(
+        aggregate(readings, granularity), config.lag_offsets, granularity
+    )
+
+
 class TestRunExperiment:
     def test_reports_and_files(self, small_input, tmp_path):
         result = run_experiment(small_config(small_input, tmp_path / "out"))
@@ -67,8 +75,10 @@ class TestRunExperiment:
             "random_forest", "gradient_boosting", "weighted_ensemble",
         }
         for name in ("predictions", "metrics_csv", "metrics_txt", "reports",
-                     "forest", "gbt", "weights", "scaler", "config"):
+                     "forest", "gbt", "weights", "config"):
             assert result.files[name].exists()
+        assert not (tmp_path / "out" / "scaler.json").exists()
+        assert "scaler" not in json.loads(result.files["config"].read_text())
         blend = result.reports["weighted_ensemble"].rmse
         worst = max(
             result.reports["random_forest"].rmse,
@@ -93,14 +103,10 @@ class TestRunExperiment:
                 checked += 1
         assert checked > 100
 
-    @pytest.mark.parametrize("scaler", ["minmax", "maxabs"])
-    def test_artifacts_reload_to_the_same_bytes(self, small_input, tmp_path, scaler):
+    def test_artifacts_reload_to_the_same_bytes(self, small_input, tmp_path):
         # one serialization: each JSON artifact holds its object's fields, so
         # loading it through its class and dumping it again gives its bytes
-        result = run_experiment(
-            small_config(small_input, tmp_path / "out", scaler=scaler)
-        )
-        assert result.files["scaler"].name == "scaler.json"
+        result = run_experiment(small_config(small_input, tmp_path / "out"))
 
         def load_reports(text):
             return {k: MetricsReport.from_dict(v) for k, v in json.loads(text).items()}
@@ -109,7 +115,6 @@ class TestRunExperiment:
             "forest": (load_model, dump_model),
             "gbt": (load_model, dump_model),
             "weights": (lambda text: EnsembleWeights(**json.loads(text)), dump_json),
-            "scaler": (lambda text: Scaler(**json.loads(text)), dump_json),
             "reports": (load_reports, dump_json),
         }
         for name, (load, dump) in round_trips.items():
@@ -162,12 +167,6 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))[1:]
         for row in rows:
             assert datetime.fromisoformat(row[0]).month in (3, 4, 5)
-
-    def test_no_scaler(self, small_input, tmp_path):
-        result = run_experiment(
-            small_config(small_input, tmp_path / "out", scaler=None)
-        )
-        assert "scaler" not in result.files
 
     def test_lagged_features_run(self, small_input, tmp_path):
         result = run_experiment(
@@ -245,17 +244,12 @@ class TestRunExperiment:
 
     def test_lagged_predictions_are_batch_predictions(self, small_input, tmp_path):
         # validation and test rows read the observed lags of build_samples, so
-        # each model scores the scaled test rows in one predict_many call
+        # each model scores the raw test rows in one predict_many call
         config = small_config(small_input, tmp_path / "out", lags=True)
         result = run_experiment(config)
-        readings = interpolate_nulls(parse_readings(small_input.read_text()))
-        granularity = Granularity(config.granularity)
-        samples = build_samples(
-            aggregate(readings, granularity), config.lag_offsets, granularity
-        )
+        samples = run_samples(config)
         _, test = split(samples, config.split)
-        scaler = Scaler(**json.loads(result.files["scaler"].read_text()))
-        X_test = scaler.transform(samples.X[test])
+        X_test = samples.X[test]
         with result.files["predictions"].open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["actual"]) for r in rows] == samples.y[test].tolist()
@@ -264,12 +258,24 @@ class TestRunExperiment:
             expected = model.predict_many(X_test).tolist()
             assert [float(r[column]) for r in rows] == expected
 
-    def test_scaler_fitted_on_training_only(self, small_input, tmp_path):
-        result = run_experiment(small_config(small_input, tmp_path / "out"))
-        scaler = json.loads(result.files["scaler"].read_text())
-        # day_of_year range stops where training data stops: 30-day input,
-        # ordered split, validation tail inside training
-        assert scaler["hi"][scaler["feature_names"].index("day_of_year")] < 30
+    def test_calendar_splits_are_raw_midpoints(self, small_input, tmp_path):
+        # the models fit the raw features: a calendar column holds whole
+        # numbers, so each split sits halfway between two training values
+        config = small_config(small_input, tmp_path / "out", lags=True,
+                              lag_offsets=(1, 24))
+        result = run_experiment(config)
+        samples = run_samples(config)
+        core, _ = validation_split(samples, config.split, config.validation_fraction)
+        lo, hi = samples.X[core].min(axis=0), samples.X[core].max(axis=0)
+        checked = 0
+        for name in ("forest", "gbt"):
+            for tree in load_model(result.files[name].read_text()).trees:
+                calendar = (tree.feature >= 0) & (tree.feature < len(BASE_FEATURES))
+                feature, threshold = tree.feature[calendar], tree.threshold[calendar]
+                assert (threshold * 2 == np.round(threshold * 2)).all(), name
+                assert (lo[feature] < threshold).all() and (threshold < hi[feature]).all()
+                checked += len(feature)
+        assert checked > 50
 
     def test_byte_order_mark_gives_the_same_artifacts(self, small_input, tmp_path):
         marked = tmp_path / "marked.csv"
@@ -632,7 +638,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, key",
-        [("run", "tress"), ("run", "days"), ("synth", "trees"), ("run", "tree")],
+        [("run", "tress"), ("run", "days"), ("synth", "trees"), ("run", "tree"),
+         ("run", "scaler")],
     )
     def test_config_key_must_name_an_option(self, tmp_path, capsys, command, key):
         # "tree" would prefix-match --trees if it were passed on as a flag
@@ -655,7 +662,6 @@ class TestCli:
         "line, message",
         [
             ("trees = x", "argument --trees: invalid int value: 'x'"),
-            ("scaler = z", "argument --scaler: invalid choice: 'z'"),
             ("lags = maybe", "config file line 2: lags must be yes or no, got 'maybe'"),
             ("lag_offsets = 1,x", "lag offsets must be comma-separated integers"),
         ],

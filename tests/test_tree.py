@@ -148,7 +148,7 @@ class TestFitTree:
         counts = []
         for gain in (0.0, 0.05, 0.1, 0.3, 0.6, 1.0):
             tree = fit_tree(X, y, TreeConfig(max_depth=8, min_gain=gain))
-            counts.append(tree.node_count())
+            counts.append(len(tree.feature))
         assert counts == sorted(counts, reverse=True)
 
     def test_absolute_gain_mode(self):
