@@ -24,7 +24,7 @@ from .experiment import (
     emit_week_series,
     run_experiment,
 )
-from .features import Samples, build_samples, calendar_features, feature_names
+from .features import Samples, build_samples, calendar_features
 from .metrics import MetricsReport, compare_models, compute_metrics
 from .readings import (
     Granularity,

@@ -20,10 +20,10 @@ from pathlib import Path
 from .ensembles import ForestConfig, GbtConfig
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .experiment import ExperimentConfig, emit_week_series, run_experiment
-from .metrics import MAD_MODES, MetricsReport, compare_models
+from .metrics import MetricsReport, compare_models
 from .splitting import SEASONS, STRATEGIES, SplitSpec
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tree import GAIN_MODES, TreeConfig
+from .tree import TreeConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +150,6 @@ def cmd_run(args) -> int:
         lags=args.lags,
         lag_offsets=args.lag_offsets,
         validation_fraction=args.validation_fraction,
-        mad_mode=args.mad_mode,
     )
     config = ExperimentConfig(
         input_path=args.input,
@@ -161,7 +160,6 @@ def cmd_run(args) -> int:
             tree=TreeConfig(**_given(
                 max_depth=args.rf_depth,
                 min_gain=args.rf_min_gain,
-                gain_mode=args.gain_mode,
             )),
             bootstrap=args.bootstrap,
             feature_fraction=args.feature_fraction,
@@ -173,7 +171,6 @@ def cmd_run(args) -> int:
             tree=TreeConfig(**_given(
                 max_depth=args.gbt_depth,
                 min_gain=args.gbt_min_gain,
-                gain_mode=args.gain_mode,
             )),
         )),
         **options,
@@ -266,11 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shrinkage", type=float)
     run.add_argument("--gbt-depth", dest="gbt_depth", type=int)
     run.add_argument("--gbt-min-gain", dest="gbt_min_gain", type=float)
-    run.add_argument("--gain-mode", dest="gain_mode", choices=GAIN_MODES)
     run.add_argument(
         "--validation-fraction", dest="validation_fraction", type=float
     )
-    run.add_argument("--mad-mode", dest="mad_mode", choices=MAD_MODES)
     run.add_argument("--seed", type=int, help="forest seed (boosting draws nothing)")
     run.set_defaults(func=cmd_run)
 

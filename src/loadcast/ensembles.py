@@ -173,10 +173,15 @@ def load_model(text: str):
         raise DataError(f"unknown model kind {kind!r}")
     model_cls, config_cls = MODELS[kind]
     # absent keys take the dataclass defaults; keys that are no field any
-    # more are dropped (a gbt.json from before GbtConfig.seed went holds one)
-    known = {f.name for f in fields(config_cls)}
-    config = {k: v for k, v in doc["config"].items() if k in known}
-    config["tree"] = TreeConfig(**config["tree"])
+    # more are dropped, in the tree block too: a model file keeps the fields
+    # its config classes had when it was written
+    config = _known_fields(config_cls, doc["config"])
+    config["tree"] = TreeConfig(**_known_fields(TreeConfig, config["tree"]))
     doc["config"] = config_cls(**config)
     doc["trees"] = [tree_from_dict(t) for t in doc["trees"]]
     return model_cls(**doc)
+
+
+def _known_fields(cls, d: dict) -> dict:
+    known = {f.name for f in fields(cls)}
+    return {k: v for k, v in d.items() if k in known}

@@ -24,7 +24,7 @@ from .blend import EnsembleWeights, fit_weights, predict_blend_many
 from .ensembles import ForestConfig, GbtConfig, dump_model, fit_forest, fit_gbt
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
 from .features import build_samples, default_lag_offsets
-from .metrics import ComparisonTable, check_mad_mode, compare_models, compute_metrics
+from .metrics import ComparisonTable, compare_models, compute_metrics
 from .readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from .splitting import SplitSpec, split, validation_split
 
@@ -46,7 +46,6 @@ class ExperimentConfig:
     forest: ForestConfig = field(default_factory=ForestConfig)
     gbt: GbtConfig = field(default_factory=GbtConfig)
     validation_fraction: float = 0.1
-    mad_mode: str = "mean"
 
     def __post_init__(self):
         self.input_path = Path(self.input_path)
@@ -57,7 +56,6 @@ class ExperimentConfig:
                 "validation_fraction must be in (0, 0.5), "
                 f"got {self.validation_fraction}"
             )
-        check_mad_mode(self.mad_mode)
         if self.lag_offsets is not None and not self.lag_offsets:
             raise ConfigError("lag offsets must not be empty, got []")
         if self.lag_offsets and not self.lags:
@@ -124,7 +122,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     samples = _stage(
         "features", build_samples, buckets, config.lag_offsets, granularity
     )
-    train, test = _stage("split", split, samples, config.split)
+    # validation_split gives the rows to fit on; split is still called for
+    # the test rows, and bench/tracer.py reads its return value for the
+    # splitting.train_n and test_n counts
+    _, test = _stage("split", split, samples, config.split)
     if len(test) == 0:
         raise DataError("[split] empty test set")
     train_core, validation = _stage(
@@ -152,9 +153,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     reports = {
-        MODEL_RF: compute_metrics(y_test, pred_rf, config.mad_mode),
-        MODEL_GBT: compute_metrics(y_test, pred_gbt, config.mad_mode),
-        MODEL_BLEND: compute_metrics(y_test, pred_blend, config.mad_mode),
+        MODEL_RF: compute_metrics(y_test, pred_rf),
+        MODEL_GBT: compute_metrics(y_test, pred_gbt),
+        MODEL_BLEND: compute_metrics(y_test, pred_blend),
     }
     table = compare_models(reports)
 

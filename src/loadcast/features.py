@@ -42,8 +42,9 @@ class Samples:
     """Featurized buckets as columns.
 
     `timestamps` holds the bucket starts (increasing datetime64[m]), `X` the
-    float64 feature matrix (one row per bucket, columns as `feature_names`)
-    and `y` the targets (mean kW of each bucket).
+    float64 feature matrix (one row per bucket: the BASE_FEATURES, then one
+    `lag_<k>` column per lag offset k) and `y` the targets (mean kW of each
+    bucket).
     """
 
     timestamps: np.ndarray
@@ -52,13 +53,6 @@ class Samples:
 
     def __len__(self) -> int:
         return len(self.y)
-
-
-def feature_names(lag_offsets: Optional[Sequence[int]] = None) -> list:
-    names = list(BASE_FEATURES)
-    if lag_offsets:
-        names.extend(f"lag_{k}" for k in lag_offsets)
-    return names
 
 
 def default_lag_offsets(granularity: Granularity) -> tuple:

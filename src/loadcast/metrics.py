@@ -1,9 +1,8 @@
 """Forecast error metrics and model comparison tables.
 
 Errors are predicted - actual. MAD is the mean absolute deviation of the
-residuals about their mean (dispersion, insensitive to constant bias); a
-median-based variant is available via mad_mode="median". MAPE is reported in
-percent over points with nonzero actuals.
+residuals about their mean (dispersion, insensitive to constant bias). MAPE
+is reported in percent over points with nonzero actuals.
 """
 from __future__ import annotations
 
@@ -14,10 +13,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 METRIC_ROWS = ("RMSE", "MAE", "MAD", "MAPE")
-MAD_MODES = ("mean", "median")
 
 
 @dataclass(frozen=True)
@@ -50,16 +48,7 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(math.sqrt(np.mean(e * e)))
 
 
-def check_mad_mode(mad_mode: str) -> None:
-    if mad_mode not in MAD_MODES:
-        raise ConfigError(f"unknown mad_mode {mad_mode!r}")
-
-
-def compute_metrics(
-    actual: Sequence[float],
-    predicted: Sequence[float],
-    mad_mode: str = "mean",
-) -> MetricsReport:
+def compute_metrics(actual: Sequence[float], predicted: Sequence[float]) -> MetricsReport:
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if len(actual) == 0:
@@ -70,12 +59,10 @@ def compute_metrics(
         )
     if not (np.isfinite(actual).all() and np.isfinite(predicted).all()):
         raise DataError("series contain non-finite values")
-    check_mad_mode(mad_mode)
 
     e = predicted - actual
     mae = float(np.mean(np.abs(e)))
-    center = np.mean if mad_mode == "mean" else np.median
-    mad = float(center(np.abs(e - center(e))))
+    mad = float(np.mean(np.abs(e - np.mean(e))))
 
     nonzero = actual != 0.0
     n_skipped = int((~nonzero).sum())

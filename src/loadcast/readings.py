@@ -58,13 +58,6 @@ class Readings:
         return len(self.timestamps)
 
 
-def bucket_index_of(timestamps, granularity: Granularity):
-    """floor(minutes elapsed in the day / bucket width), elementwise over a
-    datetime64 array (a single datetime gives a 0-d array)."""
-    minutes = np.asarray(timestamps, dtype="datetime64[m]").astype(np.int64)
-    return minutes % 1440 // granularity.minutes
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

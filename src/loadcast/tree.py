@@ -1,8 +1,8 @@
 """CART-style regression tree with variance-reduction splitting.
 
 Split quality is the variance reduction Var(parent) - weighted child
-variances; a node is only split when the reduction clears the configured
-minimum gain, interpreted by default as a fraction of the parent variance.
+variances; a node is only split when the reduction, as a fraction of the
+parent variance, clears the configured minimum gain.
 
 A fitted tree is parallel node arrays, node 0 the root, as in scikit-learn's
 `Tree`. A split node sends rows whose feature value is <= its threshold to
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 
-GAIN_MODES = ("relative", "absolute")
 # cells (nodes x features x largest node) of one padded scoring pass of the
 # level-wise grower: bounds its transient arrays, about ten of this many
 # floats, and the padding it scores in vain
@@ -44,7 +43,6 @@ class TreeConfig:
     max_depth: int = 10
     min_gain: float = 0.2
     min_samples_split: int = 2
-    gain_mode: str = "relative"
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -57,8 +55,6 @@ class TreeConfig:
             raise ConfigError(
                 f"min_samples_split must be >= 2, got {self.min_samples_split}"
             )
-        if self.gain_mode not in GAIN_MODES:
-            raise ConfigError(f"gain_mode must be one of {GAIN_MODES}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,8 @@ def best_split(X: np.ndarray, y: np.ndarray) -> Optional[SplitCandidate]:
     has no columns, the parent variance is zero or no candidate has positive
     gain. Ties break to the lowest feature_id, then the lowest threshold: the
     first maximum over (feature, cut position), as an ascending scan that
-    keeps only strict improvements would find it.
+    keeps only strict improvements would find it. The grower does not call
+    it; acceptance criterion 2 and the bench tracer do.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -283,7 +280,7 @@ def grow_level_wise(
                 xs = X[idx, features]
                 gain, f, j = _best_cuts(xs, y[idx], n, sse[ks],
                                         None if drawn is None else drawn[batch])
-                metric[ks] = gain / var[ks] if config.gain_mode == "relative" else gain
+                metric[ks] = gain / var[ks]
                 feature[ks] = varying[f]
                 nodes = np.arange(len(ks))
                 threshold[ks] = (xs[nodes, f, j] + xs[nodes, f, j + 1]) / 2

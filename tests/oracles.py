@@ -94,7 +94,7 @@ def per_node_best_split(X, y, feature_ids=None):
     return best
 
 
-def per_node_tree(X, y, max_depth, min_gain, min_samples_split, gain_mode,
+def per_node_tree(X, y, max_depth, min_gain, min_samples_split,
                   feature_sampler=None):
     """The tree the per-node grower builds, as the nested dict of
     `tree_to_dict`: breadth-first from a queue, each child handed the masked
@@ -114,9 +114,8 @@ def per_node_tree(X, y, max_depth, min_gain, min_samples_split, gain_mode,
         cand = per_node_best_split(Xs, ys, fids)
         if cand is None:
             continue
-        feature_id, threshold, gain, relative_gain = cand
-        measured = relative_gain if gain_mode == "relative" else gain
-        if measured < min_gain:
+        feature_id, threshold, _, relative_gain = cand
+        if relative_gain < min_gain:
             continue
         mask = Xs[:, feature_id] <= threshold
         left, right = {}, {}
@@ -286,7 +285,7 @@ def interpolate_rows(rows):
 
 
 def bucket_means(rows, minutes):
-    """(bucket start, bucket index, mean total) per (date, bucket) group,
+    """(bucket start, mean total) per (date, bucket index) group,
     where a row's total sums its meters left to right from 0.0 and the mean
     is np.mean over the group's totals."""
     groups = {}
@@ -299,7 +298,6 @@ def bucket_means(rows, minutes):
     return [
         (
             datetime(day.year, day.month, day.day) + timedelta(minutes=index * minutes),
-            index,
             float(np.mean(totals)),
         )
         for (day, index), totals in sorted(groups.items())

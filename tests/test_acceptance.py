@@ -25,7 +25,7 @@ from loadcast.metrics import compute_metrics
 from loadcast.readings import (
     Granularity,
     Readings,
-    bucket_index_of,
+    aggregate,
     interpolate_nulls,
 )
 from loadcast.splitting import SplitSpec, split
@@ -207,13 +207,21 @@ def test_criterion_7_pipeline_correctness():
             if orig is not None:
                 assert fixed == orig
 
-    # bucket index identity
+    # bucket index identity: the reading at minute m of a day, valued m,
+    # lands in the bucket that starts at midnight + (m // g) * g minutes
+    day = Readings(
+        np.datetime64(base_ts, "us") + np.arange(1440) * np.timedelta64(1, "m"),
+        np.arange(1440, dtype=float)[:, None],
+    )
     for g in (1, 10, 30, 60, 720, 1440):
-        gran = Granularity(g)
-        for m in range(0, 1440, 7):
-            ts = base_ts + timedelta(minutes=m)
-            bi = bucket_index_of(ts, gran)
-            assert bi == m // g and 0 <= bi < gran.buckets_per_day
+        buckets = aggregate(day, Granularity(g))
+        assert len(buckets) == Granularity(g).buckets_per_day
+        groups = {}
+        for m in range(1440):
+            start = base_ts + timedelta(minutes=m // g * g)
+            groups.setdefault(start, []).append(float(m))
+        assert buckets.timestamps.tolist() == list(groups)
+        assert buckets.values[:, 0].tolist() == [sum(v) / len(v) for v in groups.values()]
 
     # all four split strategies
     samples = build_samples(

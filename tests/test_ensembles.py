@@ -265,10 +265,23 @@ class TestSerialization:
         assert restored.config == model.config
         assert dump_model(restored) == dump_model(model)
 
+    def test_model_json_with_the_retired_gain_mode_loads(self):
+        # forest.json and gbt.json files written while TreeConfig still had
+        # gain_mode hold it in their tree block; they load, and dump to the
+        # same document without it
+        rng = np.random.default_rng(7)
+        X, y = random_dataset(rng)
+        for model in (fit_forest(X, y, ForestConfig(n_trees=2, seed=1)),
+                      fit_gbt(X, y, GbtConfig(n_rounds=3))):
+            text = dump_model(model)
+            old = text.replace('"tree": {', '"tree": {"gain_mode": "absolute", ')
+            assert old != text
+            assert dump_model(load_model(old)) == text
+
     def test_config_blocks_are_the_dataclass_fields(self):
         rng = np.random.default_rng(8)
         X, y = random_dataset(rng)
-        tree = TreeConfig(max_depth=3, min_samples_split=4, gain_mode="absolute")
+        tree = TreeConfig(max_depth=3, min_samples_split=4)
         forest = fit_forest(X, y, ForestConfig(n_trees=2, tree=tree, seed=9))
         gbt = fit_gbt(X, y, GbtConfig(n_rounds=2, tree=tree))
         for model in (forest, gbt):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from loadcast.errors import ConfigError, DataError
+from loadcast.errors import DataError
 from loadcast.metrics import MetricsReport, compare_models, compute_metrics
 
 import oracles
@@ -55,14 +55,6 @@ def test_errors():
         compute_metrics([1.0], [1.0, 2.0])
     with pytest.raises(DataError):
         compute_metrics([1.0], [float("nan")])
-    with pytest.raises(ConfigError):
-        compute_metrics([1.0], [1.0], mad_mode="mode")
-
-
-def test_median_mad_variant():
-    r = compute_metrics([0.0, 0.0, 0.0], [1.0, 2.0, 9.0], mad_mode="median")
-    # residuals {1,2,9}, median 2, |dev| {1,0,7} -> median 1
-    assert r.mad == 1.0
 
 
 def test_against_spreadsheet_oracle():

@@ -14,7 +14,6 @@ from loadcast.readings import (
     Granularity,
     Readings,
     aggregate,
-    bucket_index_of,
     interpolate_nulls,
     parse_readings,
 )
@@ -457,19 +456,6 @@ class TestGranularity:
         with pytest.raises(ConfigError):
             Granularity(0)
 
-    def test_bucket_index_identity(self):
-        for g in (1, 15, 30, 60, 1440):
-            gran = Granularity(g)
-            for m in range(0, 1440, 13):
-                ts = datetime(2015, 3, 1) + timedelta(minutes=m)
-                bi = bucket_index_of(ts, gran)
-                assert bi == m // g
-                assert 0 <= bi < gran.buckets_per_day
-            stamps = np.array(minutes(datetime(1969, 12, 31), 2880), "datetime64[us]")
-            np.testing.assert_array_equal(
-                bucket_index_of(stamps, gran), np.tile(np.arange(1440) // g, 2)
-            )
-
 
 class TestInterpolate:
     def _col(self, values, start=datetime(2015, 1, 1)):
@@ -540,15 +526,13 @@ class TestInterpolate:
 
 
 def bucket_records(readings, granularity):
-    """aggregate's output as one (bucket_start, bucket_index, target)
-    namespace per bucket."""
+    """aggregate's output as one (bucket_start, target) namespace per
+    bucket."""
     buckets = aggregate(readings, granularity)
     assert buckets.values.shape == (len(buckets), 1)
-    starts = buckets.timestamps.tolist()
-    indices = bucket_index_of(buckets.timestamps, granularity).tolist()
     return [
-        SimpleNamespace(bucket_start=start, bucket_index=index, target=target)
-        for start, index, target in zip(starts, indices, buckets.values[:, 0].tolist())
+        SimpleNamespace(bucket_start=start, target=target)
+        for start, target in zip(buckets.timestamps.tolist(), buckets.values[:, 0].tolist())
     ]
 
 
@@ -558,21 +542,21 @@ class TestAggregate:
         readings = readings_of(minutes(start, 60), [(5.0,)] * 60)
         records = bucket_records(readings, Granularity(60))
         assert len(records) == 1
-        assert records[0].bucket_index == 10
         assert records[0].target == 5.0
         assert records[0].bucket_start == datetime(2015, 1, 1, 10, 0)
 
     def test_index_formula(self):
         readings = readings_of([datetime(2015, 1, 1, 10, 30)], [(1.0,)])
         records = bucket_records(readings, Granularity(60))
-        assert records[0].bucket_index == 10  # floor(630 / 60)
+        # floor(630 / 60) = 10: the bucket that starts at 10:00
+        assert records[0].bucket_start == datetime(2015, 1, 1, 10, 0)
 
     def test_sum_across_meters(self):
         start = datetime(2015, 1, 1)
         readings = readings_of(minutes(start, 1440), [(2.0, 3.0)] * 1440)
         records = bucket_records(readings, Granularity(1440))
         assert len(records) == 1
-        assert records[0].bucket_index == 0
+        assert records[0].bucket_start == start
         assert records[0].target == pytest.approx(5.0)
 
     def test_rejects_nulls(self):
@@ -634,9 +618,8 @@ class TestAgainstRowOracle:
             assert np.array_equal(bits(readings.values), bits(nulls))
             assert np.array_equal(bits(filled.values), bits([v for _, v in repaired]))
             assert len(records) == len(expected)
-            for record, (start, index, mean) in zip(records, expected):
+            for record, (start, mean) in zip(records, expected):
                 assert record.bucket_start == start
-                assert record.bucket_index == index
                 assert record.target.hex() == mean.hex()
             sizes = {}
             for ts, _ in rows:
@@ -753,9 +736,9 @@ class TestTwoWorkers:
         nulls = [[np.nan if v is None else v for v in vals] for _, vals in rows]
         assert np.array_equal(bits(readings.values), bits(nulls))
         assert np.array_equal(bits(filled.values), bits([v for _, v in repaired]))
-        got = [(r.bucket_start, r.bucket_index, r.target.hex())
+        got = [(r.bucket_start, r.target.hex())
                for r in bucket_records(filled, Granularity(g))]
-        assert got == [(s, i, m.hex()) for s, i, m in oracles.bucket_means(repaired, g)]
+        assert got == [(s, m.hex()) for s, m in oracles.bucket_means(repaired, g)]
 
     def test_null_runs_at_the_ends_and_longer_than_a_block(self, monkeypatch):
         monkeypatch.setattr(readings_module, "BLOCK_BYTES", 2048)
@@ -826,10 +809,6 @@ def test_bucket_keys_before_1970_with_seconds():
     rows = [(ts, (float(i % 17), 0.5)) for i, ts in enumerate(stamps)]
     readings = readings_of(stamps, [values for _, values in rows])
     for g in (1, 15, 60, 1440):
-        got = [(r.bucket_start, r.bucket_index, r.target.hex())
+        got = [(r.bucket_start, r.target.hex())
                for r in bucket_records(readings, Granularity(g))]
-        assert got == [(s, i, m.hex()) for s, i, m in oracles.bucket_means(rows, g)]
-        np.testing.assert_array_equal(
-            bucket_index_of(readings.timestamps, Granularity(g)),
-            [(ts.hour * 60 + ts.minute) // g for ts in stamps],
-        )
+        assert got == [(s, m.hex()) for s, m in oracles.bucket_means(rows, g)]

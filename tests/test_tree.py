@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from loadcast.errors import ConfigError, DataError, SchemaError
 from loadcast.tree import (
-    GAIN_MODES,
     RegressionTree,
     TreeConfig,
     best_split,
@@ -151,20 +150,6 @@ class TestFitTree:
             counts.append(len(tree.feature))
         assert counts == sorted(counts, reverse=True)
 
-    def test_absolute_gain_mode(self):
-        tree = fit_tree(
-            FOUR_POINT_X,
-            FOUR_POINT_Y,
-            TreeConfig(min_gain=26.0, gain_mode="absolute"),
-        )
-        assert tree.feature.tolist() == [-1]  # gain 25 < 26 threshold
-        tree = fit_tree(
-            FOUR_POINT_X,
-            FOUR_POINT_Y,
-            TreeConfig(min_gain=25.0, gain_mode="absolute"),
-        )
-        assert tree.feature[0] == 0
-
 
 class TestPredict:
     def test_single_leaf(self):
@@ -240,8 +225,6 @@ class TestConfig:
                 TreeConfig(min_gain=bad)
         with pytest.raises(ConfigError):
             TreeConfig(min_samples_split=1)
-        with pytest.raises(ConfigError):
-            TreeConfig(gain_mode="entropy")
 
 
 class TestSerialization:
@@ -313,7 +296,6 @@ def _tree_problems(draw):
         max_depth=draw(st.integers(1, 8)),
         min_gain=draw(st.sampled_from((0.0, 0.2))),
         min_samples_split=draw(st.integers(2, 6)),
-        gain_mode=draw(st.sampled_from(GAIN_MODES)),
     )
     seed = draw(st.none() | st.integers(0, 2**32 - 1))
     k = draw(st.integers(1, p))
@@ -358,8 +340,7 @@ def _with_constant_columns(X, constants):
 
 def _oracle_tree(X, y, config, sampler=None):
     return json.dumps(oracles.per_node_tree(
-        X, y, config.max_depth, config.min_gain, config.min_samples_split,
-        config.gain_mode, sampler,
+        X, y, config.max_depth, config.min_gain, config.min_samples_split, sampler,
     ), sort_keys=True)
 
 
@@ -413,8 +394,7 @@ class TestGrowerOracle:
                 (TreeConfig(), None),
                 (TreeConfig(max_depth=10, min_gain=0.0), None),
                 (TreeConfig(max_depth=10, min_gain=0.0), 7),
-                (TreeConfig(max_depth=6, min_gain=0.01, min_samples_split=5,
-                            gain_mode="absolute"), 8),
+                (TreeConfig(max_depth=6, min_gain=0.01, min_samples_split=5), 8),
             ):
                 mask, sampler = _keyed_draws(seed, p, 2)
                 got = grow_level_wise(X, y, presort(X), config, mask)
