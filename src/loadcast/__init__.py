@@ -21,7 +21,6 @@ from .errors import (
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
-    emit_week_series,
     run_experiment,
 )
 from .features import Samples, build_samples, calendar_features

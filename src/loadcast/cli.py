@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Subcommands: synth (generate data), run (full experiment), week (extract a
-weekly prediction slice), compare (render a table from saved reports). Each
-`key = value` line of a --config file becomes the flag `--key=value` (a
-switch, `--key` or `--no-key`), placed before the command line's own flags,
-so explicit flags win. LOADCAST_OUT_DIR supplies the default output
-directory.
+Subcommands: synth (generate data), run (full experiment), compare (render a
+table from saved reports). Each `key = value` line of a --config file
+becomes the flag `--key=value` (a switch, `--key` or `--no-key`), placed
+before the command line's own flags, so explicit flags win.
+LOADCAST_OUT_DIR supplies the default output directory.
 """
 from __future__ import annotations
 
@@ -14,12 +13,12 @@ import dataclasses
 import json
 import os
 import sys
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 from .ensembles import ForestConfig, GbtConfig
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
-from .experiment import ExperimentConfig, emit_week_series, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .metrics import MetricsReport, compare_models
 from .splitting import SEASONS, STRATEGIES, SplitSpec
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -181,22 +180,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_week(args) -> int:
-    if args.predictions is None:
-        raise ConfigError("week needs --predictions")
-    if args.anchor is None:
-        raise ConfigError("week needs --anchor (ISO date or datetime)")
-    try:
-        anchor = datetime.fromisoformat(args.anchor)
-    except ValueError:
-        raise ConfigError(f"bad anchor {args.anchor!r}")
-    path = emit_week_series(args.predictions, anchor, args.out)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_compare(args) -> int:
-    reports = {}
+    reports, sources = {}, {}  # model name -> report, and the file it came from
     for path in args.reports:
         try:
             doc = json.loads(Path(path).read_text())
@@ -205,7 +190,11 @@ def cmd_compare(args) -> int:
         if not isinstance(doc, dict):
             raise DataError(f"reports file {path} is not a JSON object")
         for name, entry in doc.items():
+            if name in sources:
+                # a table row per model name: a second report would replace the first
+                raise DataError(f"model {name!r} is in both {sources[name]} and {path}")
             reports[name] = MetricsReport.from_dict(entry)
+            sources[name] = path
     table = compare_models(reports)
     if args.csv:
         print(table.to_csv(), end="")
@@ -268,15 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, help="forest seed (boosting draws nothing)")
     run.set_defaults(func=cmd_run)
-
-    week = sub.add_parser("week", help="extract a 7-day prediction slice")
-    week.add_argument("--config", help="flat key=value config file")
-    week.add_argument("--predictions", help="predictions.csv from a run")
-    week.add_argument("--anchor", help="window start, ISO date or datetime")
-    week.add_argument(
-        "--out", default=Path(out_dir) / "week.csv", help="output CSV path"
-    )
-    week.set_defaults(func=cmd_week)
 
     compare = sub.add_parser("compare", help="render a table from saved reports")
     compare.add_argument("reports", nargs="+", help="reports.json file(s)")

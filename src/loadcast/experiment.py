@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -224,46 +223,3 @@ def _write_outputs(out_dir: Path, texts: dict) -> dict:
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
     return files
 
-
-def emit_week_series(predictions_csv, anchor: datetime, out_path) -> Path:
-    """Slice [anchor, anchor + 7 days) out of a prediction CSV, read by
-    `parse_readings` with signed cells under the exact PREDICTION_COLUMNS
-    header, and write it as `run_experiment` writes predictions. A malformed
-    row, a blank cell or a stamp that is not a whole minute is a DataError."""
-    predictions_csv, out_path = Path(predictions_csv), Path(out_path)
-    if anchor.tzinfo is not None:
-        # prediction timestamps are naive local times, as in the input
-        raise ConfigError(f"anchor {anchor.isoformat()} must not carry a UTC offset")
-    try:
-        end = anchor + timedelta(days=7)
-    except OverflowError:
-        raise ConfigError(
-            f"anchor {anchor.isoformat()}: its 7-day window ends past year 9999"
-        )
-    try:
-        # utf-8-sig: a byte-order mark before the header is skipped
-        text = predictions_csv.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read prediction file {predictions_csv}: {exc}")
-    header = text.partition("\n")[0].split(",") if text else None
-    if header != list(PREDICTION_COLUMNS):
-        raise DataError(f"unexpected prediction CSV header: {header}")
-    try:
-        rows = parse_readings(text, signed=True)  # an estimate may fall below 0
-        stamps = rows.timestamps.astype("datetime64[m]")
-        blank = np.isnan(rows.values).any(axis=1)
-        bad = blank | (stamps != rows.timestamps)
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "a blank cell" if blank[i] else "a stamp that is not a whole minute"
-            # the header is row 1, and blank lines count, as in parser errors
-            row, line = [(k, s) for k, s in enumerate(text.split("\n"), 1) if s][i + 1]
-            raise DataError(f"{what} at row {row}: {line!r}")
-    except DataError as exc:
-        raise DataError(f"{predictions_csv}: {exc}") from exc
-    first, stop = np.searchsorted(rows.timestamps, np.array([anchor, end], "M8[us]"))
-    if first == stop:
-        window = f"[{anchor.isoformat()}, {end.isoformat()})"
-        raise DataError(f"empty window: no test predictions in {window}")
-    week = _predictions_csv(stamps[first:stop], *rows.values[first:stop].T)
-    return _write_outputs(out_path.parent, {"week": (out_path.name, week)})["week"]

@@ -100,7 +100,7 @@ _PAD = _MAX_CELL + 8
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
+def parse_readings(data: bytes | str) -> Readings:
     """Parse a readings CSV, given as its UTF-8 bytes, into columns.
 
     Rows are separated by newlines (a CRLF or a lone CR counts as one), cells
@@ -108,8 +108,7 @@ def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
     skipped. Blank lines are skipped. A timestamp is YYYY-MM-DD, optionally
     followed by 'T' or a space and HH:MM, HH:MM:SS or HH:MM:SS.ffffff, in
     local time: a UTC offset is rejected. A cell that is empty or whitespace
-    is a null. A negative cell is rejected unless `signed` (a prediction
-    file's estimates may fall below zero). A file without data rows is
+    is a null. A negative cell is rejected. A file without data rows is
     rejected. Row numbers in error messages count the header as row 1 and
     include blank lines, and column numbers count the cells after the
     timestamp.
@@ -154,7 +153,7 @@ def parse_readings(data: bytes | str, *, signed: bool = False) -> Readings:
         values = np.empty((rows[-1], n_cols - 1))
 
         def parse(i, last=np.datetime64("NaT")):
-            _parse_block(*blocks[i], int(lines[i]), n_cols, last, signed,
+            _parse_block(*blocks[i], int(lines[i]), n_cols, last,
                          timestamps[rows[i] :], values[rows[i] :])
 
         def error(i):  # the block's first error, or None
@@ -280,12 +279,11 @@ def _count_block(buf, size) -> tuple:
     return int(np.count_nonzero(end > start)), len(start)
 
 
-def _parse_block(buf, size, first_line, n_cols, last, signed, timestamps,
-                 values) -> None:
+def _parse_block(buf, size, first_line, n_cols, last, timestamps, values) -> None:
     """Parse a block of `_blocks` into the first rows of `timestamps` and
     `values`. `first_line` is the index of the block's first line in the
     file and `last` the timestamp of the row before the block (NaT for
-    none); `signed` accepts negative cells. Raises the block's first error.
+    none). Raises the block's first error.
 
     The rows are parsed in runs of about BLOCK_BYTES / _RUNS bytes, and each
     run's cells at once, row by row as `values` holds them."""
@@ -300,12 +298,11 @@ def _parse_block(buf, size, first_line, n_cols, last, signed, timestamps,
         if lo == hi:  # no row starts in this run's bytes
             continue
         _parse_rows(buf, words, start[lo:hi], end[lo:hi], first_line + lines[lo:hi] + 1,
-                    n_cols, last, signed, timestamps[lo:], values[lo:])
+                    n_cols, last, timestamps[lo:], values[lo:])
         last = timestamps[hi - 1]
 
 
-def _parse_rows(buf, words, start, end, row, n_cols, last, signed, timestamps,
-                values) -> None:
+def _parse_rows(buf, words, start, end, row, n_cols, last, timestamps, values) -> None:
     """Parse the lines [start, end) of `buf`, numbered `row` in the file,
     into the first rows of `timestamps` and `values`; raise their first
     error. `last` is the timestamp before them (NaT for none)."""
@@ -330,8 +327,6 @@ def _parse_rows(buf, words, start, end, row, n_cols, last, signed, timestamps,
     cells, problem = _parse_cells(words[1:], bounds.ravel(), length.ravel())
     values[:n] = cells.reshape(n, n_cols - 1)
     problem = problem.reshape(n, n_cols - 1)
-    if signed:
-        problem[problem == _NEGATIVE] = 0
 
     bad_timestamp = np.isnat(stamps)
     non_monotonic = np.empty(n, dtype=bool)

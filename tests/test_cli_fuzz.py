@@ -5,11 +5,9 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from loadcast.cli import main
-from loadcast.experiment import PREDICTION_COLUMNS
 
 EXIT_CODES = {0, 2, 3, 4}
 # tiny models: one tree, one round, shallow, so each example runs in
@@ -199,107 +197,7 @@ def test_compare_on_malformed_reports(document, as_csv):
 
 
 # ---------------------------------------------------------------------------
-# week anchors and synth start dates near both ends of the calendar
-
-_EDGE_DATES = (date(1, 1, 1), date(1, 1, 2), date(2015, 1, 1), date(9999, 12, 24),
-               date(9999, 12, 25), date(9999, 12, 31))
-_DATE = st.sampled_from(_EDGE_DATES) | st.dates()
-# test rows at both ends of the calendar, so windows there are not empty
-_PREDICTIONS = ",".join(PREDICTION_COLUMNS).encode() + b"\n" + b"".join(
-    b"%s,1.0,2.0,3.0,4.0\n" % stamp.encode()
-    for stamp in ("0001-01-01T00:00", "2015-01-01T00:00", "2015-01-01T01:00",
-                  "2015-01-03T12:00", "9999-12-31T23:00")
-)
-_ANCHOR = st.one_of(
-    st.tuples(
-        _DATE.map(date.isoformat),
-        st.sampled_from(("", "T00:00", "T23:59:59.999999", " 12:00", "T12")),
-        st.sampled_from(("", "", "Z", "+00:00", "+01:00", "-05:30", "+24:00")),
-    ).map("".join),
-    st.sampled_from(("", "garbage", "2015-13-01", "2015-02-30", "0000-12-31",
-                     "10000-01-01", "2015-01-01T25:00", "2015-1-1", "2015-01-01T")),
-    st.text(max_size=12),
-)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_ANCHOR)
-def test_week_on_edge_and_malformed_anchors(anchor):
-    code = _run(
-        {"predictions.csv": _PREDICTIONS},
-        # --anchor=...: an anchor that starts with "-" stays a value
-        lambda root: ["week", "--predictions", str(root / "predictions.csv"),
-                      f"--anchor={anchor}", "--out", str(root / "week.csv")],
-    )
-    assert code in EXIT_CODES
-
-
-# rows broken one way each, put where the window from 2015-01-01 holds them
-_BROKEN_ROWS = {
-    "utc-offset": b"2015-01-03T13:00+01:00,1.0,2.0,3.0,4.0\n",
-    "out-of-order": b"2015-01-02T00:00,1.0,2.0,3.0,4.0\n",
-    "blank-cell": b"2015-01-03T13:00,1.0,,3.0,4.0\n",
-    "six-columns": b"2015-01-03T13:00,1.0,2.0,3.0,4.0,5.0\n",
-}
-
-
-def _with_row(extra: bytes) -> bytes:
-    """_PREDICTIONS with `extra` after its 2015-01-03T12:00 row."""
-    lines = _PREDICTIONS.splitlines(keepends=True)
-    return b"".join(lines[:5] + [extra] + lines[5:])
-
-
-@pytest.mark.parametrize("files, predictions, out, code", [
-    # a byte that is not UTF-8 after the rows: a data error
-    ({"predictions.csv": _PREDICTIONS + b"\xff\n"}, "predictions.csv", "week.csv", 3),
-    # a missing file or a directory as the predictions: a data error
-    ({}, "absent.csv", "week.csv", 3),
-    ({}, ".", "week.csv", 3),
-    # an output in a directory that does not exist: a config error
-    ({"predictions.csv": _PREDICTIONS}, "predictions.csv", "absent/week.csv", 2),
-    # a malformed row anywhere in the file: a data error
-    *(({"predictions.csv": _with_row(row)}, "predictions.csv", "week.csv", 3)
-      for row in _BROKEN_ROWS.values()),
-], ids=["not-utf8", "absent", "directory", "out-dir-absent", *_BROKEN_ROWS])
-def test_week_on_unreadable_predictions_or_out(files, predictions, out, code):
-    assert _run(files, lambda root: [
-        "week", "--predictions", str(root / predictions), "--anchor", "2015-01-01",
-        "--out", str(root / out),
-    ]) == code
-
-
-# hourly prediction rows, a negative estimate among them (boosting can
-# predict below 0), and edits that each make a row malformed
-_ROWS = [b"2015-01-01T%02d:00,%d.5,1.25,-0.5,0.0" % (h, h) for h in range(24)]
-_FAULTS = {
-    "utc offset": lambda row: row.replace(b",", b"+01:00,", 1),
-    "seconds": lambda row: row.replace(b",", b":30,", 1),
-    "repeated": lambda row: row + b"\n" + row,
-    "blank cell": lambda row: row.replace(b",1.25,", b",,"),
-    "nan": lambda row: row.replace(b",1.25,", b",nan,"),
-    "two columns": lambda row: row.split(b",")[0] + b",1.0",
-    "six columns": lambda row: row + b",1.0",
-}
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(0, 23), st.sampled_from(sorted(_FAULTS))),
-                max_size=3),
-       st.sampled_from(("2015-01-01", "2015-01-01T12:00", "2014-12-26")))
-def test_week_on_malformed_prediction_rows(faults, anchor):
-    rows = list(_ROWS)
-    for i, fault in faults:
-        rows[i] = _FAULTS[fault](rows[i])
-    header = ",".join(PREDICTION_COLUMNS).encode()
-    code = _run(
-        {"predictions.csv": b"\n".join([header, *rows]) + b"\n"},
-        lambda root: ["week", "--predictions", str(root / "predictions.csv"),
-                      "--anchor", anchor, "--out", str(root / "week.csv")],
-    )
-    assert code in EXIT_CODES
-    # every fault is a data error, wherever its row falls
-    assert code == (3 if faults else 0)
-
+# synth start dates near both ends of the calendar
 
 _START = st.one_of(
     st.dates(max_value=date(1, 1, 10)).map(date.isoformat),

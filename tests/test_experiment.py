@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from loadcast.experiment import (
     PREDICTION_COLUMNS,
     ExperimentConfig,
     dump_json,
-    emit_week_series,
     run_experiment,
 )
 from loadcast.features import BASE_FEATURES, build_samples
@@ -324,105 +323,12 @@ class TestRunExperiment:
             small_config(small_input, tmp_path / "out", validation_fraction=0.6)
 
 
-class TestWeekSeries:
-    def test_extracts_window(self, small_input, tmp_path):
-        result = run_experiment(small_config(small_input, tmp_path / "out"))
-        with result.files["predictions"].open() as fh:
-            first_ts = list(csv.reader(fh))[1][0]
-        anchor = datetime.fromisoformat(first_ts)
-        out = emit_week_series(
-            result.files["predictions"], anchor, tmp_path / "week.csv"
-        )
-        with out.open() as fh:
-            rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == PREDICTION_COLUMNS
-        assert 1 <= len(rows) - 1 <= 168  # hourly granularity
-        for row in rows[1:]:
-            ts = datetime.fromisoformat(row[0])
-            assert anchor <= ts and (ts - anchor).days < 7
-
-    def test_slice_is_the_run_lines_in_the_window(self, tmp_path):
-        # an hourly lagged run whose test rows span February's end; the
-        # window cuts rows on both sides and crosses into March
-        data = tmp_path / "d.csv"
-        generate_synthetic(SyntheticSpec(start=date(2015, 1, 15), days=50,
-                                         meters=1, seed=6), data)
-        result = run_experiment(small_config(data, tmp_path / "out", lags=True))
-        lines = result.files["predictions"].read_bytes().splitlines(keepends=True)
-        anchor, end = b"2015-02-26T07:00", b"2015-03-05T07:00"
-        kept = [line for line in lines[1:] if anchor <= line[:16] < end]
-        assert lines[1][:16] < anchor and lines[-1][:16] >= end
-        assert kept[0][:7] == b"2015-02" and kept[-1][:7] == b"2015-03"
-        out = emit_week_series(result.files["predictions"],
-                               datetime.fromisoformat(anchor.decode()),
-                               tmp_path / "week.csv")
-        assert out.read_bytes() == b"".join([lines[0], *kept])
-
-    def test_negative_estimates_are_copied(self, tmp_path):
-        # boosting shallow trees at shrinkage 1 over a mostly-zero series
-        # overshoots zero targets, so the run writes estimates below 0
-        rng = np.random.default_rng(2)
-        hours = np.datetime64("2015-01-01T00:00") + np.arange(24 * 30).astype("m8[h]")
-        loads = np.where(rng.random(len(hours)) < 0.1, rng.random(len(hours)) * 10, 0.0)
-        data = tmp_path / "spikes.csv"
-        data.write_text("timestamp,meter_1\n" + "".join(
-            f"{stamp},{load!r}\n"
-            for stamp, load in zip(np.datetime_as_string(hours, unit="m"), loads.tolist())
-        ))
-        gbt = GbtConfig(n_rounds=5, shrinkage=1.0,
-                        tree=TreeConfig(max_depth=2, min_gain=0.0))
-        result = run_experiment(small_config(data, tmp_path / "out", gbt=gbt))
-        lines = result.files["predictions"].read_bytes().splitlines(keepends=True)
-        anchor = lines[1][:16]
-        end = datetime.fromisoformat(anchor.decode()) + timedelta(days=7)
-        kept = [line for line in lines[1:]
-                if line[:16] < end.isoformat(timespec="minutes").encode()]
-        assert any(line.split(b",")[3].startswith(b"-") for line in kept)
-        assert main(["week", "--predictions", str(result.files["predictions"]),
-                     "--anchor", anchor.decode(), "--out", str(tmp_path / "week.csv")]) == 0
-        assert (tmp_path / "week.csv").read_bytes() == b"".join([lines[0], *kept])
-
-    @pytest.mark.parametrize("row, fault", [
-        ("2015-01-01T02:00,1.0,,3.0,-4.0", "a blank cell"),
-        ("2015-01-01T02:00:30,1.0,2.0,3.0,-4.0", "a stamp that is not a whole minute"),
-    ])
-    def test_bad_rows_are_named_as_the_parser_names_them(self, tmp_path, row, fault):
-        # the header is row 1 and the blank line counts, so the fault is row 5
-        path = tmp_path / "predictions.csv"
-        path.write_text("\n".join([",".join(PREDICTION_COLUMNS),
-                                   "2015-01-01T00:00,1.0,2.0,3.0,4.0", "",
-                                   "2015-01-01T01:00,1.0,2.0,3.0,4.0", row, ""]))
-        with pytest.raises(DataError) as info:
-            emit_week_series(path, datetime(2015, 1, 1), tmp_path / "week.csv")
-        assert str(info.value) == f"{path}: {fault} at row 5: {row!r}"
-
-    def test_byte_order_mark_gives_the_same_window(self, small_input, tmp_path):
-        # Excel's "CSV UTF-8" writes EF BB BF before the header
-        result = run_experiment(small_config(small_input, tmp_path / "out"))
-        predictions = result.files["predictions"]
-        marked = tmp_path / "marked.csv"
-        marked.write_bytes(b"\xef\xbb\xbf" + predictions.read_bytes())
-        anchor = datetime.fromisoformat(predictions.read_text().split("\n")[1][:16])
-        want = emit_week_series(predictions, anchor, tmp_path / "week.csv")
-        got = emit_week_series(marked, anchor, tmp_path / "week-marked.csv")
-        assert got.read_bytes() == want.read_bytes()
-
-    def test_empty_window(self, small_input, tmp_path):
-        result = run_experiment(small_config(small_input, tmp_path / "out"))
-        with pytest.raises(DataError, match="empty window"):
-            emit_week_series(
-                result.files["predictions"],
-                datetime(2030, 1, 1),
-                tmp_path / "week.csv",
-            )
-
-
 # one shallow tree and one round: each run takes milliseconds
 TINY_MODELS = ["--trees", "1", "--rounds", "1", "--rf-depth", "2", "--gbt-depth", "2"]
 
 
 class TestCli:
-    def test_synth_run_week_compare(self, tmp_path, capsys):
+    def test_synth_run_compare(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         out = tmp_path / "run"
         assert main(["synth", "--out", str(data), "--days", "14", "--meters", "2",
@@ -435,14 +341,25 @@ class TestCli:
         ]) == 0
         captured = capsys.readouterr().out
         assert "random_forest" in captured
-        with (out / "predictions.csv").open() as fh:
-            anchor = list(csv.reader(fh))[1][0]
-        assert main(["week", "--predictions", str(out / "predictions.csv"),
-                     "--anchor", anchor, "--out", str(tmp_path / "w.csv")]) == 0
-        assert (tmp_path / "w.csv").exists()
         assert main(["compare", str(out / "reports.json")]) == 0
         table = capsys.readouterr().out
         assert "RMSE" in table and "weighted_ensemble" in table
+
+    def test_compare_rejects_a_model_name_in_two_files(self, tmp_path, capsys):
+        # compare's table has a row per model name, so two runs' reports,
+        # which name the same three models, cannot share it
+        report = ('{"rmse": 1, "mae": 1, "mad": 1, "mape": null, '
+                  '"n_points": 2, "n_skipped_mape": 0}')
+        first, second, other = (tmp_path / f"{n}.json" for n in ("a", "b", "c"))
+        first.write_text(f'{{"m": {report}, "n": {report}}}')
+        second.write_text(f'{{"m": {report}}}')
+        other.write_text(f'{{"k": {report}}}')
+        assert main(["compare", str(first), str(second)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: model 'm' is in both {first} and {second}\n"
+        )
+        assert main(["compare", "--csv", str(first), str(other)]) == 0
+        assert capsys.readouterr().out.startswith("metric,m,n,k\n")
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "x.csv"),
@@ -587,17 +504,6 @@ class TestCli:
         assert main(["run", "--input", str(data), "--out-dir",
                      str(tmp_path / "whole"), *flags, *lagged]) == 0
 
-    def test_week_empty_window_exit_code(self, tmp_path):
-        data = tmp_path / "d.csv"
-        out = tmp_path / "run"
-        main(["synth", "--out", str(data), "--days", "14", "--seed", "1"])
-        main(["run", "--input", str(data), "--out-dir", str(out),
-              "--granularity", "120", "--trees", "2", "--rounds", "3",
-              "--rf-depth", "3", "--gbt-depth", "3"])
-        assert main(["week", "--predictions", str(out / "predictions.csv"),
-                     "--anchor", "2031-01-01",
-                     "--out", str(tmp_path / "w.csv")]) == 3
-
     def test_config_file_supplies_flags(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         main(["synth", "--out", str(data), "--days", "14", "--seed", "9"])
@@ -724,18 +630,9 @@ def _error_case(name, tmp_path):
         (tmp_path / "afile").write_text("")
         return ["run", "--input", str(tmp_path / "absent.csv"),
                 "--out-dir", str(tmp_path / "afile" / "sub")]
-    if name == "week-garbage-timestamp":
-        preds = tmp_path / "predictions.csv"
-        preds.write_text(",".join(PREDICTION_COLUMNS) + "\ngarbage,1,1,1,1\n")
-        return ["week", "--predictions", str(preds), "--anchor", "2015-01-01",
-                "--out", str(tmp_path / "w.csv")]
-    if name.startswith("week-anchor-"):
-        preds = tmp_path / "predictions.csv"
-        preds.write_text(",".join(PREDICTION_COLUMNS) + "\n2015-11-01T00:00,1,1,1,1\n")
-        anchor = {"week-anchor-utc-offset": "2015-11-01T00:00+01:00",
-                  "week-anchor-past-9999": "9999-12-30"}[name]
-        return ["week", "--predictions", str(preds), "--anchor", anchor,
-                "--out", str(tmp_path / "w.csv")]
+    if name == "week-command-deleted":
+        return ["week", "--predictions", str(tmp_path / "predictions.csv"),
+                "--anchor", "2015-01-01"]
     if name == "synth-past-date-max":
         return ["synth", "--start", "9999-12-30", "--days", "5",
                 "--out", str(tmp_path / "x.csv")]
@@ -781,7 +678,6 @@ def _error_case(name, tmp_path):
     "name, code",
     [
         ("out-dir-under-file", 2),
-        ("week-garbage-timestamp", 3),
         ("input-is-directory", 3),
         ("input-not-utf8", 3),
         ("synth-out-in-missing-dir", 2),
@@ -794,8 +690,7 @@ def _error_case(name, tmp_path):
         ("gbt-min-gain-inf", 2),
         ("synth-non-finite-noise-std", 2),
         ("synth-non-finite-base-kw", 2),
-        ("week-anchor-utc-offset", 2),
-        ("week-anchor-past-9999", 2),
+        ("week-command-deleted", 2),
         ("synth-past-date-max", 2),
     ],
 )
@@ -807,5 +702,5 @@ def test_failure_exit_codes_without_traceback(tmp_path, name, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    # a failing synth or week writes nothing
-    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "w.csv").exists()
+    # a failing synth writes nothing
+    assert not (tmp_path / "x.csv").exists()

@@ -81,14 +81,6 @@ class TestParse:
         with pytest.raises(DataError, match="negative reading at row 2"):
             parse_readings(text)
 
-    def test_signed_reads_negative_cells_and_checks_the_rest(self):
-        text = "timestamp,a,b\n2015-01-01T00:00,-1,-0.0\n2015-01-01T00:01,-2.5e-3,4\n"
-        values = parse_readings(text, signed=True).values
-        assert values.tolist() == [[-1.0, -0.0], [-0.0025, 4.0]]
-        assert np.signbit(values[0, 1])
-        with pytest.raises(DataError, match="^non-finite reading at row 4, column 1$"):
-            parse_readings(text + "2015-01-01T00:02,-inf,1\n", signed=True)
-
     def test_every_cell_of_a_rejected_column_is_checked(self):
         cells = [b"x", b"1", b"y", b"-2"]
         chars = np.zeros((2, len(cells)), dtype=np.uint8)
