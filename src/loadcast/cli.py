@@ -100,15 +100,6 @@ def _parse_bool(text) -> bool:
     raise ValueError(text)
 
 
-def _parse_offsets(text):
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(
-            f"lag offsets must be comma-separated integers, got {text!r}"
-        )
-
-
 def _split_spec(name, train_fraction) -> SplitSpec:
     """The split named on the command line."""
     fraction = _given(train_fraction=train_fraction)
@@ -144,12 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     if args.input is None:
         raise ConfigError("run needs --input (or input in the config file)")
-    options = _given(
-        granularity=args.granularity,
-        lags=args.lags,
-        lag_offsets=args.lag_offsets,
-        validation_fraction=args.validation_fraction,
-    )
+    options = _given(granularity=args.granularity, lags=args.lags)
     config = ExperimentConfig(
         input_path=args.input,
         out_dir=args.out_dir,
@@ -239,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--train-fraction", dest="train_fraction", type=float)
     run.add_argument("--lags", action=argparse.BooleanOptionalAction)
-    run.add_argument(
-        "--lag-offsets", dest="lag_offsets", type=_parse_offsets,
-        help="comma-separated buckets",
-    )
     run.add_argument("--trees", type=int, help="forest size")
     run.add_argument("--rf-depth", dest="rf_depth", type=int)
     run.add_argument("--rf-min-gain", dest="rf_min_gain", type=float)
@@ -252,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shrinkage", type=float)
     run.add_argument("--gbt-depth", dest="gbt_depth", type=int)
     run.add_argument("--gbt-min-gain", dest="gbt_min_gain", type=float)
-    run.add_argument(
-        "--validation-fraction", dest="validation_fraction", type=float
-    )
     run.add_argument("--seed", type=int, help="forest seed (boosting draws nothing)")
     run.set_defaults(func=cmd_run)
 

@@ -50,7 +50,7 @@ def split(samples: Samples, spec: SplitSpec):
     return selected[in_train], selected[~in_train]
 
 
-def validation_split(samples: Samples, spec: SplitSpec, fraction: float):
+def validation_split(samples: Samples, spec: SplitSpec, fraction: float = 0.1):
     """Returns (core, validation): the train rows of `split`, parted so that
     the last min(max(1, int(fraction * n)), n - 1) of each group's n training
     rows are for validation and the rest for fitting, so every group keeps a

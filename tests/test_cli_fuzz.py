@@ -67,8 +67,8 @@ def _csv(header, kept, edits):
     st.sampled_from((48, 48, 48, 0, 1, 5, 12)),
     st.lists(_EDIT, max_size=3),
     st.sampled_from((["--granularity", "60", "--split", "ordered"],
-                     ["--granularity", "120", "--split", "monthly",
-                      "--lags", "--lag-offsets", "1,12"])),
+                     # lags at 12, 24 and 84 buckets of two hours
+                     ["--granularity", "120", "--split", "monthly", "--lags"])),
 )
 def test_run_on_malformed_csv(header, kept, edits, flags):
     assert _run_csv(_csv(header, kept, edits), *flags) in EXIT_CODES

@@ -24,7 +24,7 @@ from loadcast.experiment import (
     dump_json,
     run_experiment,
 )
-from loadcast.features import BASE_FEATURES, build_samples
+from loadcast.features import BASE_FEATURES, build_samples, default_lag_offsets
 from loadcast.metrics import MetricsReport
 from loadcast import readings as readings_module
 from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
@@ -62,9 +62,8 @@ def run_samples(config):
     """The samples run_experiment builds from config's input."""
     readings = interpolate_nulls(parse_readings(config.input_path.read_text()))
     granularity = Granularity(config.granularity)
-    return build_samples(
-        aggregate(readings, granularity), config.lag_offsets, granularity
-    )
+    offsets = default_lag_offsets(granularity) if config.lags else None
+    return build_samples(aggregate(readings, granularity), offsets, granularity)
 
 
 class TestRunExperiment:
@@ -162,18 +161,13 @@ class TestRunExperiment:
             assert datetime.fromisoformat(row[0]).month in (3, 4, 5)
 
     def test_lagged_features_run(self, small_input, tmp_path):
-        result = run_experiment(
-            small_config(
-                small_input, tmp_path / "out", lags=True, lag_offsets=(1, 2, 24)
-            )
-        )
+        result = run_experiment(small_config(small_input, tmp_path / "out", lags=True))
         assert result.reports["weighted_ensemble"].rmse >= 0
         config = json.loads(result.files["config"].read_text())
         assert config["lags"] is True
-        assert config["lag_offsets"] == [1, 2, 24]
 
     def test_lagged_run_checks_blend_convexity(self, small_input, tmp_path, monkeypatch):
-        lagged = dict(lags=True, lag_offsets=(1, 24))
+        lagged = dict(lags=True)
         result = run_experiment(small_config(small_input, tmp_path / "ok", **lagged))
         reports = result.reports
         assert reports["weighted_ensemble"].rmse <= max(
@@ -204,36 +198,31 @@ class TestRunExperiment:
         assert "seed" not in run_config["gbt"]
 
     @pytest.mark.parametrize(
-        "lags, offsets, match",
-        [
-            (True, (0, 1), "must be >= 1"),
-            (True, (-1, 2), "must be >= 1"),
-            (True, (24, 24), "must not repeat"),
-            (False, (24,), "given, but lags are off"),
-            # an empty list is not the defaults, with lags or without
-            (True, (), "must not be empty"),
-            (False, [], "must not be empty"),
-        ],
-        ids=["offsets0", "offsets1", "repeated", "without-lags", "empty",
-             "empty-without-lags"],
-    )
-    def test_lag_offsets_below_one_rejected(self, tmp_path, lags, offsets, match):
-        with pytest.raises(ConfigError, match=f"lag offsets .*{match}"):
-            small_config(tmp_path / "missing.csv", tmp_path / "out",
-                         lags=lags, lag_offsets=offsets)
-
-    @pytest.mark.parametrize(
         "granularity, offsets", [(60, [24, 48, 168]), (1440, [1, 2, 7])]
     )
     def test_default_lagged_run_records_its_offsets(
-        self, small_input, tmp_path, granularity, offsets
+        self, small_input, tmp_path, monkeypatch, granularity, offsets
     ):
+        # a lagged run's lag columns read the target 1, 2 and 7 days back,
+        # and run_config.json names no offsets or validation fraction
+        built = []
+
+        def spy(*args):
+            built.append(build_samples(*args))
+            return built[-1]
+
+        monkeypatch.setattr(experiment, "build_samples", spy)
         config = small_config(
             small_input, tmp_path / "out", granularity=granularity, lags=True
         )
         run_config = json.loads(run_experiment(config).files["config"].read_text())
         assert run_config["lags"] is True
-        assert run_config["lag_offsets"] == offsets
+        assert not {"lag_offsets", "validation_fraction"} & set(run_config)
+        (samples,) = built
+        lags = samples.X[:, len(BASE_FEATURES):]
+        assert lags.shape[1] == len(offsets)
+        for column, k in zip(lags.T, offsets):
+            assert column[k:].tolist() == samples.y[:-k].tolist(), k
 
     def test_lagged_predictions_are_batch_predictions(self, small_input, tmp_path):
         # validation and test rows read the observed lags of build_samples, so
@@ -254,11 +243,10 @@ class TestRunExperiment:
     def test_calendar_splits_are_raw_midpoints(self, small_input, tmp_path):
         # the models fit the raw features: a calendar column holds whole
         # numbers, so each split sits halfway between two training values
-        config = small_config(small_input, tmp_path / "out", lags=True,
-                              lag_offsets=(1, 24))
+        config = small_config(small_input, tmp_path / "out", lags=True)
         result = run_experiment(config)
         samples = run_samples(config)
-        core, _ = validation_split(samples, config.split, config.validation_fraction)
+        core, _ = validation_split(samples, config.split)
         lo, hi = samples.X[core].min(axis=0), samples.X[core].max(axis=0)
         checked = 0
         for name in ("forest", "gbt"):
@@ -318,10 +306,6 @@ class TestRunExperiment:
         for name in ("predictions", "forest", "gbt"):
             assert got.files[name].read_bytes() == want.files[name].read_bytes(), name
 
-    def test_validation_fraction_bounds(self, small_input, tmp_path):
-        with pytest.raises(ConfigError):
-            small_config(small_input, tmp_path / "out", validation_fraction=0.6)
-
 
 # one shallow tree and one round: each run takes milliseconds
 TINY_MODELS = ["--trees", "1", "--rounds", "1", "--rf-depth", "2", "--gbt-depth", "2"]
@@ -368,21 +352,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [
+            pytest.param(["--lag-offsets", "1,2"], id="1,2"),
+            pytest.param(["--lags", "--lag-offsets", "24"], id="lags-24"),
+            pytest.param(["--validation-fraction", "0.2"], id="validation-fraction"),
+            # every spelling, with --lags or without, is a usage error
             pytest.param(["--lags", "--lag-offsets=0,1"], id="0,1"),
             pytest.param(["--lags", "--lag-offsets=-1,2"], id="-1,2"),
             pytest.param(["--lags", "--lag-offsets=1,x"], id="1,x"),
             pytest.param(["--lags", "--lag-offsets=24,24"], id="24,24"),
             pytest.param(["--lag-offsets=24"], id="24-without-lags"),
-            # an empty list is not the defaults
             pytest.param(["--lags", "--lag-offsets="], id="empty"),
             pytest.param(["--lag-offsets=,"], id="comma-without-lags"),
         ],
     )
     def test_bad_lag_offsets_exit_code(self, tmp_path, capsys, flags):
-        # the input does not exist: exit 2, not 3, shows nothing was read
+        # lags always read the day-ahead offsets and the validation tail is
+        # always a tenth, so run has neither option; the input does not
+        # exist: exit 2, not 3, shows nothing was read
+        out = tmp_path / "out"
         assert main(["run", "--input", str(tmp_path / "absent.csv"),
-                     "--out-dir", str(tmp_path), *flags]) == 2
-        assert "lag offsets" in capsys.readouterr().err
+                     "--out-dir", str(out), *flags]) == 2
+        removed = next(flag for flag in flags if flag != "--lags")
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_utc_offset_timestamps_exit_code(self, tmp_path):
         data = tmp_path / "mixed.csv"
@@ -491,7 +483,7 @@ class TestCli:
             line for line in lines if not line.startswith(b"2015-01-20")
         ))
         flags = ["--granularity", "1440", "--split", "ordered", *TINY_MODELS]
-        lagged = ["--lags", "--lag-offsets", "1,2"]
+        lagged = ["--lags"]
         assert main(["run", "--input", str(gapped), "--out-dir",
                      str(tmp_path / "lagged"), *flags, *lagged]) == 3
         assert capsys.readouterr().err == (
@@ -539,7 +531,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, key",
         [("run", "tress"), ("run", "days"), ("synth", "trees"), ("run", "tree"),
-         ("run", "scaler"), ("run", "gain_mode"), ("run", "mad_mode")],
+         ("run", "scaler"), ("run", "gain_mode"), ("run", "mad_mode"),
+         ("run", "lag_offsets"), ("run", "validation_fraction")],
     )
     def test_config_key_must_name_an_option(self, tmp_path, capsys, command, key):
         # "tree" would prefix-match --trees if it were passed on as a flag
@@ -563,7 +556,6 @@ class TestCli:
         [
             ("trees = x", "argument --trees: invalid int value: 'x'"),
             ("lags = maybe", "config file line 2: lags must be yes or no, got 'maybe'"),
-            ("lag_offsets = 1,x", "lag offsets must be comma-separated integers"),
         ],
     )
     def test_bad_config_value_is_reported_like_the_flag(self, tmp_path, capsys,
@@ -588,7 +580,6 @@ class TestCli:
                          "--out-dir", str(out), *TINY_MODELS, *flags]) == 0
             written[name] = json.loads((out / "run_config.json").read_text())
         assert written["file"]["lags"] is True
-        assert written["file"]["lag_offsets"] == [24, 48, 168]
         assert written["file"]["forest"]["bootstrap"] is False
         assert written["flags"]["lags"] is False
         assert written["flags"]["forest"]["bootstrap"] is True
