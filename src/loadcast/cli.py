@@ -16,13 +16,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .ensembles import ForestConfig, GbtConfig
 from .errors import ConfigError, DataError, InvariantError, LoadcastError
-from .experiment import ExperimentConfig, run_experiment
-from .metrics import MetricsReport, compare_models
 from .splitting import SEASONS, STRATEGIES, SplitSpec
-from .synthetic import SyntheticSpec, generate_synthetic
-from .tree import TreeConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,6 +29,18 @@ ENV_OUT_DIR = "LOADCAST_OUT_DIR"
 # --split names a strategy, or season:<name> for a single_season split
 _SPLITS = [s for s in STRATEGIES if s != "single_season"]
 _SEASON_SPLIT = f"season:<{'|'.join(SEASONS)}>"
+
+
+def __getattr__(name):
+    # each command imports its own modules, so that synth and compare load
+    # no model code. `cmd_run` reads `run_experiment` through this module
+    # (PEP 562), so a wrapper set on `loadcast.cli.run_experiment`, as
+    # bench/tracer.py sets one, is the one it calls
+    if name == "run_experiment":
+        from .experiment import run_experiment
+
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_config_file(path) -> list:
@@ -87,11 +94,6 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _field_default(cls, name):
-    f = next(f for f in dataclasses.fields(cls) if f.name == name)
-    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-
-
 def _parse_bool(text) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -120,6 +122,8 @@ def _iso_date(text) -> date:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import SyntheticSpec, generate_synthetic
+
     # each SyntheticSpec field is the synth option of the same name
     spec = SyntheticSpec(**_given(**{
         f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)
@@ -133,6 +137,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .ensembles import ForestConfig, GbtConfig
+    from .experiment import ExperimentConfig
+    from .tree import TreeConfig
+
     if args.input is None:
         raise ConfigError("run needs --input (or input in the config file)")
     options = _given(granularity=args.granularity, lags=args.lags)
@@ -160,13 +168,15 @@ def cmd_run(args) -> int:
         )),
         **options,
     )
-    result = run_experiment(config)
+    result = sys.modules[__name__].run_experiment(config)
     print(result.table.to_text())
     print(f"outputs in {result.out_dir}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
+    from .metrics import MetricsReport, compare_models
+
     reports, sources = {}, {}  # model name -> report, and the file it came from
     for path in args.reports:
         try:
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", dest="out_dir", default=out_dir)
     run.add_argument("--granularity", type=int, help="bucket width in minutes")
     run.add_argument(
-        "--split", default=_field_default(ExperimentConfig, "split").strategy,
+        "--split", default=SplitSpec().strategy,
         help=" | ".join([*_SPLITS, _SEASON_SPLIT]),
     )
     run.add_argument("--train-fraction", dest="train_fraction", type=float)

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tree import (
     TreeConfig,
+    dump_tree,
     grow_level_wise,
     predict_trees,
     presort,
     tree_from_dict,
-    tree_to_dict,
 )
 
 
@@ -130,7 +130,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> ForestMode
     return ForestModel(trees=trees, config=config)
 
 
-def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
+def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig, on_tree=None) -> GbtModel:
+    """Boosted trees; `on_tree`, if given, is called with each tree as soon
+    as it is grown."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
@@ -144,12 +146,13 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, config: GbtConfig) -> GbtModel:
         tree = grow_level_wise(X, residuals, order, config.tree)
         pred = pred + config.shrinkage * tree.predict_many(X)
         trees.append(tree)
+        if on_tree is not None:
+            on_tree(tree)
     return GbtModel(base_score=base, trees=trees, config=config)
 
 
 # ---------------------------------------------------------------------------
-# serialization: a model's fields as JSON, each tree in the nested layout of
-# `tree_to_dict`
+# serialization: a model's fields as JSON, each tree as its `dump_tree` text
 
 MODELS = {
     "random_forest": (ForestModel, ForestConfig),
@@ -157,13 +160,23 @@ MODELS = {
 }
 
 
-def dump_model(model) -> str:
+def dump_model(model, tree_texts=None) -> str:
+    """The model as JSON: its fields with sorted keys, its trees last under
+    `"trees"`, the key that sorts last. `tree_texts`, if given, are the
+    `dump_tree` texts of its trees, encoded elsewhere (by the model worker of
+    `experiment`). json writes a list as its items joined by ", " and a
+    nested dict as it writes one alone, so the bytes are those of dumping
+    the whole nest at once."""
     kind = next((k for k, (cls, _) in MODELS.items() if type(model) is cls), None)
     if kind is None:
         raise ConfigError(f"cannot serialize {type(model).__name__}")
+    if tree_texts is None:
+        tree_texts = [dump_tree(t) for t in model.trees]
     doc = {**vars(model), "model": kind, "config": asdict(model.config)}
-    doc["trees"] = [tree_to_dict(t) for t in model.trees]
-    return json.dumps(doc, sort_keys=True)
+    del doc["trees"]
+    assert max(doc) < "trees", sorted(doc)
+    head = json.dumps(doc, sort_keys=True)
+    return head[:-1] + ', "trees": [' + ", ".join(tree_texts) + "]}"
 
 
 def load_model(text: str):

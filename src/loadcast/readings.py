@@ -177,15 +177,20 @@ def parse_readings(data: bytes | str) -> Readings:
     return Readings(timestamps, values)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def parse_workers() -> int:
     """Threads that parse one input: at most the CPUs this process may run
     on, and at most two, since each holds a run of rows' temporaries and the
     parse must stay within the input, the result and 16 blocks."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        usable = os.cpu_count() or 1
-    return min(2, usable)
+    return min(2, usable_cpus())
 
 
 def _blocks(data: bytes, pos: int) -> list:

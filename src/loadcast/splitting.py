@@ -21,7 +21,7 @@ STRATEGIES = ("ordered", "seasonal", "monthly", "single_season")
 
 @dataclass(frozen=True)
 class SplitSpec:
-    strategy: str
+    strategy: str = "monthly"
     season: Optional[str] = None
     train_fraction: float = 0.8
 

@@ -152,6 +152,13 @@ class TestGbt:
         model = fit_gbt(X, np.full(8, 2.0), GbtConfig(n_rounds=7))
         assert len(model.trees) == 7  # no-op stages still recorded
 
+    def test_each_tree_reaches_on_tree_as_it_is_grown(self):
+        X, y = random_dataset(np.random.default_rng(4))
+        seen = []
+        model = fit_gbt(X, y, GbtConfig(n_rounds=6), on_tree=seen.append)
+        assert seen == model.trees  # the same objects (eq=False), in order
+        assert dump_model(model) == dump_model(fit_gbt(X, y, GbtConfig(n_rounds=6)))
+
     def test_empty_stage_list_predicts_base(self):
         model = GbtModel(base_score=5.0, trees=[], config=GbtConfig())
         assert predict_one(model, [0.0]) == 5.0
@@ -305,10 +312,12 @@ class TestSerialization:
         leaf_doc = {"n_features": 2, "root": {"kind": "leaf", "value": -0.0, "n_samples": 3}}
         forest = ForestModel(trees=[split], config=ForestConfig(n_trees=1))
         gbt = GbtModel(base_score=0.25, trees=[leaf, split], config=GbtConfig(n_rounds=2))
+        bare = GbtModel(base_score=0.25, trees=[], config=GbtConfig(n_rounds=2))
         for model, doc in (
             (forest, {"model": "random_forest", "trees": [split_doc]}),
             (gbt, {"model": "gradient_boosting", "base_score": 0.25,
                    "trees": [leaf_doc, split_doc]}),
+            (bare, {"model": "gradient_boosting", "base_score": 0.25, "trees": []}),
         ):
             doc["config"] = dataclasses.asdict(model.config)
             assert dump_model(model) == json.dumps(doc, sort_keys=True)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from datetime import date, datetime
@@ -30,7 +31,7 @@ from loadcast import readings as readings_module
 from loadcast.readings import Granularity, aggregate, interpolate_nulls, parse_readings
 from loadcast.splitting import SplitSpec, split, validation_split
 from loadcast.synthetic import SyntheticSpec, generate_synthetic
-from loadcast.tree import TreeConfig
+from loadcast.tree import TreeConfig, fit_tree
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +312,94 @@ class TestRunExperiment:
 TINY_MODELS = ["--trees", "1", "--rounds", "1", "--rf-depth", "2", "--gbt-depth", "2"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="forks only on Linux")
+class TestModelWorker:
+    """With a second usable CPU, the forest is fitted in a forked model
+    worker while the boosted trees grow here; with one, in this process."""
+
+    @pytest.fixture
+    def worker_pids(self, monkeypatch):
+        """Pids of the model workers the test starts; once it ends, no child
+        of this process is left."""
+        pids = []
+
+        class Spy(experiment._ModelWorker):
+            def __init__(self, job):
+                super().__init__(job)  # in the worker, never returns
+                pids.append(self.pid)
+
+        monkeypatch.setattr(experiment, "_ModelWorker", Spy)
+        yield pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_and_inline_artifacts_are_identical(
+        self, small_input, tmp_path, monkeypatch, worker_pids
+    ):
+        runs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+            config = small_config(small_input, tmp_path / str(cpus), lags=True)
+            runs[cpus] = run_experiment(config).files
+            assert len(worker_pids) == 1, cpus  # one worker, from the 2-CPU run
+        del runs[2]["config"]  # run_config.json names the output directory
+        for name, path in runs[2].items():
+            assert runs[1][name].read_bytes() == path.read_bytes(), name
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_data_error_in_the_worker_exit_code(
+        self, small_input, tmp_path, capsys, monkeypatch, worker_pids, cpus
+    ):
+        def fit_forest(*args):
+            raise DataError("cannot fit a forest on an empty sample set")
+
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiment, "fit_forest", fit_forest)
+        code = main(["run", "--input", str(small_input), "--out-dir", str(tmp_path),
+                     "--granularity", "60", *TINY_MODELS])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "data error: [train-forest] cannot fit a forest on an empty sample set\n"
+        )
+        assert len(worker_pids) == (cpus > 1)
+        assert not (tmp_path / "forest.json").exists()
+
+    def test_killed_worker_exit_code(
+        self, small_input, tmp_path, capsys, monkeypatch, worker_pids
+    ):
+        parent = os.getpid()
+
+        def fit_forest(*args):
+            assert os.getpid() != parent, "the forest was fitted in this process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "fit_forest", fit_forest)
+        code = main(["run", "--input", str(small_input), "--out-dir", str(tmp_path),
+                     "--granularity", "60", *TINY_MODELS])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "internal error: [train-forest] model worker was killed by signal "
+            f"{int(signal.SIGKILL)} without a result\n"
+        )
+        assert len(worker_pids) == 1
+
+    def test_interrupted_run_kills_its_worker(
+        self, small_input, tmp_path, monkeypatch, worker_pids
+    ):
+        # interrupted while the worker waits for more trees: the worker is
+        # killed and reaped (the fixture's check)
+        def fit_gbt(X, y, config, on_tree):
+            on_tree(fit_tree(X, y))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiment, "fit_gbt", fit_gbt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_config(small_input, tmp_path))
+        assert len(worker_pids) == 1
+
+
 class TestCli:
     def test_synth_run_compare(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -401,6 +490,27 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "config error: seed must be non-negative, got -1\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    def test_synth_and_compare_load_no_model_module(self, tmp_path, command):
+        reports = tmp_path / "reports.json"
+        reports.write_text('{"m": {"rmse": 1, "mae": 1, "mad": 1, "mape": null, '
+                           '"n_points": 2, "n_skipped_mape": 0}}')
+        args = {"synth": ["synth", "--days", "1", "--out", str(tmp_path / "x.csv")],
+                "compare": ["compare", str(reports)]}[command]
+        script = (
+            "import sys; from loadcast.cli import main; code = main(sys.argv[1:]); "
+            "print(code, *(m for m in sys.modules if m.startswith('loadcast.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(loadcast.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        model_code = {f"loadcast.{m}" for m in ("tree", "ensembles", "experiment", "blend")}
+        assert not model_code & set(modules)
+        assert ("loadcast.synthetic" in modules) == (command == "synth")
+        assert ("loadcast.metrics" in modules) == (command == "compare")
 
     @pytest.mark.parametrize("reading, day, mean", [
         ("1e200", "2015-01-01", "2e+200"),  # finite, but its square overflows
